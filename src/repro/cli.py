@@ -335,7 +335,7 @@ def cmd_serve(args) -> int:
     import time
 
     from repro import telemetry
-    from repro.service import ReorderService, ServiceConfig, ShardedService
+    from repro.service import ReorderService, ServiceConfig
 
     if getattr(args, "telemetry", None):
         telemetry.enable()
@@ -345,7 +345,7 @@ def cmd_serve(args) -> int:
     prof = None
     if getattr(args, "profile", False):
         # continuous sampling profiler: telemetry must record so samples
-        # get span/phase/shard attribution; /debug/flame picks the
+        # get span/phase attribution; /debug/flame picks the
         # profiler up automatically when --listen is also given
         from repro.telemetry import profiler as profmod
 
@@ -401,16 +401,12 @@ def cmd_serve(args) -> int:
     if shards < 1:
         print("serve: --shards must be >= 1", file=sys.stderr)
         return 2
-    # one shard is the classic service; more route by content hash onto
-    # independent cache/admission units (disk tiers under shard-<i>/)
-    make_service = (
-        (lambda: ReorderService(cfg)) if shards == 1
-        else (lambda: ShardedService(cfg, shards=shards))
-    )
 
     t_total = time.perf_counter()
     try:
-        with make_service() as svc:
+        # shards > 1 splits the cache into hash-routed tiers (disk tiers
+        # under shard-<i>/); admission stays one queue
+        with ReorderService(cfg, shards=shards) as svc:
             if getattr(args, "listen", None) is not None:
                 from repro.telemetry.prometheus import MetricsServer
 
@@ -494,13 +490,6 @@ def cmd_serve(args) -> int:
             print(f"profiler: {prof.sample_count} stack samples at "
                   f"{prof.hz:g} Hz (self-overhead "
                   f"{prof.overhead_pct:.2f}%)")
-        if "shards" in stats:
-            print(f"shards: {stats['healthy_shards']}/{stats['n_shards']} "
-                  "healthy; requests per shard: "
-                  + ", ".join(
-                      f"{s['shard_id']}={s['service.requests']}"
-                      for s in stats["shards"]
-                  ))
     if getattr(args, "telemetry", None):
         # the final flush runs on every exit path, signal-driven included
         n = telemetry.get().write_jsonl(
@@ -795,7 +784,7 @@ def cmd_cache(args) -> int:
     """``cache``: inspect or invalidate a disk-tier permutation cache.
 
     Shard-aware: a root holding ``shard-<i>`` subdirectories (the layout
-    :class:`~repro.service.ShardedService` persists) is iterated whole —
+    ``ReorderService(shards=N)`` persists) is iterated whole —
     listing, ``--invalidate`` and ``--clear`` sweep every shard tier —
     and ``--shard i`` narrows any operation to one shard.  A directory
     without shard subdirectories is a single anonymous tier, exactly the
@@ -1042,12 +1031,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algorithm", default="rcm", choices=list(ALGORITHMS))
     p.add_argument("--method", default="auto", choices=methods)
     p.add_argument("--workers", type=int, default=2,
-                   help="service worker threads per shard (default: 2)")
+                   help="service worker threads (default: 2)")
     p.add_argument("--shards", type=int, default=1,
-                   help="consistent-hash service shards; each owns its own "
-                        "cache, disk tier (shard-<i>/ under --cache-dir), "
-                        "queue and admission thread (default: 1 = the "
-                        "classic unsharded service)")
+                   help="consistent-hash cache shards, each with its own "
+                        "memory tier and disk tier (shard-<i>/ under "
+                        "--cache-dir) (default: 1 = one unsharded cache)")
     p.add_argument("--repeat", type=int, default=1,
                    help="cycle the workload N times (exercises the cache)")
     p.add_argument("--capacity", type=int, default=128,

@@ -31,7 +31,7 @@ the call content-addressed: a pattern + options seen before is served from
 the cache without recomputation.  With ``shards=N`` a path spec
 materializes as an N-way :class:`~repro.service.ShardedCache` (per-shard
 ``shard-<i>`` disk directories behind a consistent-hash ring — the same
-layout :class:`repro.service.ShardedService` serves from).
+layout ``ReorderService(shards=N)`` serves from).
 :class:`repro.service.ReorderService` builds coalescing and admission
 control on top of the same path.
 
@@ -41,8 +41,7 @@ through the zero-copy shared-memory transport to the persistent process
 pool (:func:`repro.parallel.map_matrices`), ``method="auto"`` priced with
 the batch-aware cost term (``setup_cycles`` amortized over the batch; see
 :meth:`repro.backends.Backend.estimate`).  Results are byte-identical to
-calling :func:`reorder` per matrix.  Set ``REPRO_NO_SHM=1`` to opt out of
-shared memory (the legacy pickle transport runs instead).
+calling :func:`reorder` per matrix.
 
 Errors: everything either entry point raises on purpose derives from
 :class:`repro.errors.ReproError` — :class:`repro.errors.ValidationError`
@@ -298,8 +297,7 @@ def reorder_many(
     * matrices are grouped by resolved backend and each group runs as
       **one** executor dispatch (:func:`repro.parallel.map_matrices`):
       CSR payloads travel via the zero-copy shared-memory transport, the
-      persistent pool is warmed once and reused (``REPRO_NO_SHM=1`` opts
-      back into the pickle transport);
+      persistent pool is warmed once and reused;
     * with ``cache=`` given (cache object or disk-tier path, sharded per
       ``shards`` exactly as in :func:`reorder`), hits are served per
       matrix up front (``phase_ns={"cache": <ns>}``) and only the misses

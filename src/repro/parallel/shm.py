@@ -24,10 +24,9 @@ survived, bumping the ``parallel.shm.leaked`` counter per swept segment so
 leaks are observable, not silent.  Counters ``parallel.shm.published`` /
 ``parallel.shm.bytes`` record transport volume.
 
-Set ``REPRO_NO_SHM=1`` (or any non-empty value) to disable the transport;
-every caller then falls back to the legacy pickle path.  The transport also
-disables itself when :mod:`multiprocessing.shared_memory` is unusable on
-the platform (:func:`shm_available` probes once per process).
+The transport disables itself when :mod:`multiprocessing.shared_memory` is
+unusable on the platform (:func:`shm_available` probes once per process);
+the executor then runs the same work in-process.
 """
 
 from __future__ import annotations
@@ -91,14 +90,10 @@ _AVAILABLE: Optional[bool] = None
 
 
 def shm_available() -> bool:
-    """Whether the shared-memory transport is usable and not opted out.
+    """Whether the shared-memory transport is usable on this platform.
 
-    ``REPRO_NO_SHM`` wins over everything (checked per call, so tests can
-    flip it); platform support is probed once per process by creating and
-    unlinking a minimal segment.
+    Probed once per process by creating and unlinking a minimal segment.
     """
-    if os.environ.get("REPRO_NO_SHM"):
-        return False
     global _AVAILABLE
     if _AVAILABLE is None:
         try:

@@ -14,16 +14,12 @@ with backpressure and a graceful method-degradation chain.
         first = svc.reorder(mat)     # computes and caches
         again = svc.reorder(mat)     # served from the cache, bit-identical
 
-Scaling out, the same machinery shards: :class:`ShardedService` routes
-content-hash keys onto N independent :class:`Shard` units via a
-consistent-hash :class:`HashRing` (per-shard LRU + disk tiers that
-survive resharding), and :class:`AsyncReorderService` puts an awaitable
-front door on either flavor::
-
-    from repro.service import ShardedService
-
-    with ShardedService(shards=4) as svc:
-        res = svc.reorder(mat)       # routed by content hash, bit-identical
+``ReorderService(shards=N)`` splits the cache into N tiers on a
+consistent-hash :class:`HashRing` (:class:`ShardedCache`, per-shard
+``shard-<i>/`` disk directories that survive resharding) behind the same
+single admission queue; ``ShardedService`` is another name for
+:class:`ReorderService`.  :class:`AsyncReorderService` puts an awaitable
+front door on it.
 
 See ``docs/service.md`` for cache semantics, coalescing guarantees and the
 telemetry taxonomy.
@@ -31,16 +27,16 @@ telemetry taxonomy.
 
 from repro.service.keys import CacheKey, cache_key, pattern_digest
 from repro.service.cache import CacheStats, PermutationCache
+from repro.service.router import HashRing, ShardedCache
 from repro.service.core import (
     ReorderService,
     ServiceConfig,
     ServiceError,
     ServiceOverloadedError,
     ServiceTimeoutError,
-    Shard,
+    ShardedService,
     fallback_chain,
 )
-from repro.service.router import HashRing, ShardedCache, ShardedService
 from repro.service.aio import AsyncReorderService
 
 __all__ = [
@@ -49,7 +45,6 @@ __all__ = [
     "pattern_digest",
     "CacheStats",
     "PermutationCache",
-    "Shard",
     "ReorderService",
     "ShardedCache",
     "ShardedService",

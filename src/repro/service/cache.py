@@ -108,7 +108,7 @@ class PermutationCache:
         read-only sibling disk tiers probed after a ``disk_dir`` miss.
         A hit from a fallback directory is promoted — installed in memory
         and rewritten under ``disk_dir`` — but the foreign file is never
-        touched.  :class:`repro.service.ShardedService` points each shard
+        touched.  :class:`repro.service.ShardedCache` points each shard
         at its siblings' directories so entries that a resharding remapped
         to a different shard still warm-hit from disk.
     """
@@ -245,10 +245,11 @@ class PermutationCache:
 
         Returns how many tiers actually held (and dropped) the key — 0
         when it was cached nowhere, 1 for memory *or* disk, 2 for both —
-        so callers (``repro cache --invalidate``, the sharded service) can
+        so callers (``repro cache --invalidate``, the sharded cache) can
         report exactly what an invalidation removed.  The count is truthy
         exactly when anything was removed, preserving the historical
-        boolean reading.
+        boolean reading.  Safe under concurrent calls on one key: a disk
+        file another caller unlinked first counts as not held.
         """
         digest = (
             key_or_digest.digest
@@ -260,9 +261,12 @@ class PermutationCache:
             if self._entries.pop(digest, None) is not None:
                 tiers += 1
         path = self._disk_path(digest)
-        if path is not None and path.exists():
-            path.unlink()
-            tiers += 1
+        if path is not None:
+            try:
+                path.unlink()
+                tiers += 1
+            except FileNotFoundError:
+                pass
         if tiers:
             with self._lock:
                 self.stats.invalidations += 1

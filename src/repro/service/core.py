@@ -1,17 +1,7 @@
 """The in-process reordering service: cache, coalescing, bounded queue.
 
-The unit of serving here is the :class:`Shard`: one cache + coalescing map
-+ bounded admission queue + (optional) batched-admission thread.
-:class:`ReorderService` — the historical public API, unchanged — *is* a
-single anonymous shard; :class:`repro.service.router.ShardedService`
-composes N of them behind a consistent-hash router and
-:class:`repro.service.aio.AsyncReorderService` puts an asyncio front door
-on either.  A shard constructed with a ``shard_id`` mirrors its counters
-to ``service.shard.<i>.*`` and stamps the id into every request's
-:class:`~repro.telemetry.context.TraceContext`.
-
-:class:`ReorderService` fronts :func:`repro.reorder` with the three things
-a traffic-serving deployment needs:
+:class:`ReorderService` fronts :func:`repro.reorder` with the things a
+traffic-serving deployment needs:
 
 * **content-hash caching** — requests key on the CSR pattern digest plus
   the permutation-relevant options (:mod:`repro.service.keys`); a repeated
@@ -37,6 +27,12 @@ a traffic-serving deployment needs:
   backpressure semantics are exactly those of the unbatched path — only
   the dispatch is shared.  Per-batch telemetry: histogram
   ``service.batch.size`` and span ``service.batch``.
+
+``shards`` chooses only the cache: with ``shards > 1`` it is a
+:class:`~repro.service.router.ShardedCache`, whose consistent-hash ring
+lays the disk tier out as ``shard-<i>/`` directories that survive a
+change of shard count.  Admission is the same single queue for any shard
+count.  :data:`ShardedService` is another name for :class:`ReorderService`.
 
 Failures degrade gracefully: when an execution method dies with an
 environmental error (broken pool, OS failure, memory pressure) the request
@@ -64,7 +60,7 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import backends
 from repro.errors import (
@@ -76,14 +72,15 @@ from repro.sparse.csr import CSRMatrix
 from repro.core.api import ReorderResult
 from repro.service.keys import CacheKey, cache_key
 from repro.service.cache import PermutationCache
+from repro.service.router import ShardedCache
 from repro.parallel.executor import record_fallback
 from repro import telemetry
 from repro.telemetry import context as tctx
 
 __all__ = [
     "ServiceConfig",
-    "Shard",
     "ReorderService",
+    "ShardedService",
     "ServiceError",
     "ServiceOverloadedError",
     "ServiceTimeoutError",
@@ -123,7 +120,8 @@ class ServiceConfig:
     for a free slot before rejecting; ``request_timeout`` is the default
     deadline of blocking :meth:`ReorderService.reorder` calls (``None`` =
     wait forever).  ``fallback=False`` disables the method degradation
-    chain (the first error propagates).
+    chain (the first error propagates).  ``cache_capacity`` is the memory
+    tier size of the cache (per shard with ``shards > 1``).
 
     ``batch_window_ms > 0`` turns on batched admission: after the first
     queued miss the admission thread waits up to that many milliseconds
@@ -167,39 +165,6 @@ def fallback_chain(algorithm: str, method: str) -> Tuple[str, ...]:
     return backends.degradation_order(method)
 
 
-def admit_method(
-    algorithm: str,
-    method: str,
-    *,
-    fallback: bool = True,
-    on_fallback=None,
-) -> str:
-    """The method a request is actually admitted on.
-
-    A client may ask for an optional backend that never registered here
-    (GPU build, distributed build...).  With ``fallback`` enabled such a
-    request is admitted on the method's first registered degradation
-    target instead of bouncing with a validation error; ``on_fallback``
-    (called with the *requested* method) lets the caller count the
-    degradation.  Shared by :class:`Shard` and the sharded router — the
-    router must admit *before* hashing the cache key, because the admitted
-    method is part of the key.
-    """
-    if (
-        not fallback
-        or algorithm != "rcm"
-        or method == "auto"
-        or backends.is_registered(method)
-    ):
-        return method
-    for m in backends.degradation_order(method)[1:]:
-        if backends.is_registered(m):
-            if on_fallback is not None:
-                on_fallback(method)
-            return m
-    return method
-
-
 def _call_reorder(mat: CSRMatrix, kwargs: dict) -> ReorderResult:
     """The one seam between the service and the facade (tests patch it)."""
     from repro.facade import reorder
@@ -222,48 +187,74 @@ def _call_reorder_many(
     return reorder_many(mats, **kwargs)
 
 
-class Shard:
-    """One self-contained serving unit: cache + coalescing + admission.
+def _resolved(result: ReorderResult) -> "Future[ReorderResult]":
+    fut: "Future[ReorderResult]" = Future()
+    fut.set_result(result)
+    return fut
 
-    Everything a single-process service needs lives here — the LRU/disk
-    :class:`~repro.service.cache.PermutationCache`, the in-flight
-    coalescing map, the backpressure semaphore and the optional
-    batched-admission thread.  Constructed bare it *is* the classic
-    service (see :class:`ReorderService`); constructed with a ``shard_id``
-    by :class:`repro.service.router.ShardedService` it additionally
-    mirrors counters to ``service.shard.<i>.*``, maintains the
-    ``service.shard.<i>.queue.depth`` gauge, and stamps the shard id into
-    each request's trace context.
+
+class ReorderService:
+    """In-process reordering service over :func:`repro.reorder`.
+
+    ::
+
+        with ReorderService() as svc:
+            res = svc.reorder(mat)                  # cold: computes + caches
+            res = svc.reorder(mat)                  # warm: cache hit
+            futs = [svc.submit(m) for m in mats]    # async fan-out
+
+    Permutations are bit-identical to ``repro.reorder(mat, ...)`` — cold
+    and warm — because cache keys are content hashes of the exact pattern
+    plus options.
+
+    The service owns one lock, one in-flight coalescing map, one
+    backpressure semaphore, one worker thread pool and (when batched) one
+    admission thread.  ``shards=N`` only swaps the cache for an N-way
+    :class:`~repro.service.router.ShardedCache` (``shard-<i>/`` disk
+    tiers); an explicit ``cache`` must have that many shards.  For an
+    awaitable front end see :class:`repro.service.AsyncReorderService`.
     """
 
     def __init__(
         self,
         config: Optional[ServiceConfig] = None,
         *,
-        cache: Optional[PermutationCache] = None,
-        shard_id: Optional[int] = None,
+        cache=None,
+        shards: int = 1,
     ) -> None:
+        if shards < 1:
+            raise ValueError("shards must be >= 1")
         self.config = config if config is not None else ServiceConfig()
-        self.shard_id = shard_id
+        cfg = self.config
         # explicit None check: an empty PermutationCache is falsy (__len__)
-        self.cache = cache if cache is not None else PermutationCache(
-            self.config.cache_capacity, disk_dir=self.config.disk_dir
-        )
+        if cache is None:
+            cache = (
+                PermutationCache(cfg.cache_capacity, disk_dir=cfg.disk_dir)
+                if shards == 1
+                else ShardedCache(
+                    cfg.disk_dir, shards, capacity=cfg.cache_capacity
+                )
+            )
+        elif getattr(cache, "n_shards", 1) != shards:
+            raise ValueError(
+                f"cache has {cache.n_shards} shards, service wants {shards}"
+            )
+        self.cache = cache
         self._pool = ThreadPoolExecutor(
-            max_workers=self.config.n_workers,
-            thread_name_prefix="repro-service",
+            max_workers=cfg.n_workers, thread_name_prefix="repro-service",
         )
+        # guards the in-flight map, the pending count and the counters;
+        # not reentrant, so _count is never called while it is held
         self._lock = threading.Lock()
-        self._counter_lock = threading.Lock()
         self._inflight: Dict[str, Future] = {}
-        self._slots = threading.BoundedSemaphore(self.config.max_pending)
+        self._slots = threading.BoundedSemaphore(cfg.max_pending)
         self._pending = 0
         self._closed = False
         # batched admission: queued misses drain through one admission
         # thread that groups them into amortized dispatches
         self._batch_queue: "queue.SimpleQueue" = queue.SimpleQueue()
         self._admission_thread: Optional[threading.Thread] = None
-        if self.config.batch_window_ms > 0:
+        if cfg.batch_window_ms > 0:
             self._admission_thread = threading.Thread(
                 target=self._admission_loop,
                 name="repro-service-admission",
@@ -292,27 +283,20 @@ class Shard:
         start: Union[int, str] = "min-valence",
         n_workers: int = 4,
         symmetrize: bool = False,
-        _key: Optional[CacheKey] = None,
     ) -> "Future[ReorderResult]":
         """Enqueue one request; returns a future of its ReorderResult.
 
         The future is already resolved on a cache hit, shared with the
         in-flight leader on a coalesced duplicate, and backed by a fresh
-        pool task otherwise.  ``_key`` is the router's private fast path:
-        the sharded service admits and hashes exactly once, routes on the
-        digest, then hands the finished key to the owning shard (``method``
-        must already be the admitted method the key was built from).
+        pool task otherwise.
         """
         if self._closed:
             raise ServiceError("service is closed")
-        if _key is not None:
-            key = _key
-        else:
-            method = self._admit_method(algorithm, method)
-            key = cache_key(
-                mat, algorithm=algorithm, method=method, start=start,
-                symmetrize=symmetrize,
-            )
+        method = self._admit_method(algorithm, method)
+        key = cache_key(
+            mat, algorithm=algorithm, method=method, start=start,
+            symmetrize=symmetrize,
+        )
         self._count("requests")
 
         t_lookup = time.perf_counter_ns()
@@ -324,9 +308,7 @@ class Shard:
                 tel.histogram(
                     "service.hit_latency_ms", buckets=_HIT_LATENCY_BUCKETS
                 ).observe((time.perf_counter_ns() - t_lookup) / 1e6)
-            fut: "Future[ReorderResult]" = Future()
-            fut.set_result(hit)
-            return fut
+            return _resolved(hit)
 
         kwargs = dict(
             algorithm=algorithm, method=method, start=start,
@@ -334,9 +316,9 @@ class Shard:
         )
         with self._lock:
             existing = self._inflight.get(key.digest)
-            if existing is not None:
-                self._count("coalesced")
-                return existing
+        if existing is not None:
+            self._count("coalesced")
+            return existing
         if not self._slots.acquire(
             blocking=self.config.submit_timeout > 0,
             timeout=self.config.submit_timeout or None,
@@ -346,43 +328,39 @@ class Shard:
                 f"submission queue full ({self.config.max_pending} pending); "
                 "retry later or raise ServiceConfig.max_pending"
             )
+        fut: "Optional[Future[ReorderResult]]" = None
         with self._lock:
             # a duplicate may have raced past the first check while we
-            # waited for a slot — coalesce onto it and give the slot back
+            # waited for a slot, or finished entirely between our cache
+            # miss and here (put -> resolve -> settle); without these
+            # re-checks we would recompute a key that is already served
             existing = self._inflight.get(key.digest)
+            hit = self.cache.get(key) if existing is None else None
+            if existing is None and hit is None:
+                # request identity for cross-thread/process tracing:
+                # created at admission so the pool thread, the parallel
+                # workers and any facade re-entry stamp the same trace_id
+                ctx = (
+                    tctx.new_trace_context(request_id=key.digest[:12])
+                    if telemetry.get().enabled else None
+                )
+                if self._admission_thread is not None:
+                    # batched admission: park the request on the batch
+                    # queue behind a plain future; the admission thread
+                    # groups and dispatches, then resolves it
+                    fut = Future()
+                    self._batch_queue.put((key, mat, kwargs, ctx, fut))
+                else:
+                    fut = self._pool.submit(self._run, key, mat, kwargs, ctx)
+                self._inflight[key.digest] = fut
+                self._pending += 1
+                self._set_depth()
+        if fut is None:
+            self._slots.release()
             if existing is not None:
-                self._slots.release()
                 self._count("coalesced")
                 return existing
-            # the twin may instead have finished entirely between our cache
-            # miss and here (put -> resolve -> settle); without this
-            # re-check we would recompute a key that is already cached
-            hit = self.cache.get(key)
-            if hit is not None:
-                self._slots.release()
-                fut = Future()
-                fut.set_result(hit)
-                return fut
-            # request identity for cross-thread/process tracing: created
-            # at admission so the pool thread, the parallel workers and
-            # any facade re-entry all stamp the same trace_id
-            ctx = (
-                tctx.new_trace_context(
-                    request_id=key.digest[:12], shard_id=self.shard_id
-                )
-                if telemetry.get().enabled else None
-            )
-            if self._admission_thread is not None:
-                # batched admission: park the request on the batch queue
-                # behind a plain future; the admission thread groups and
-                # dispatches, then resolves it
-                fut = Future()
-                self._batch_queue.put((key, mat, kwargs, ctx, fut))
-            else:
-                fut = self._pool.submit(self._run, key, mat, kwargs, ctx)
-            self._inflight[key.digest] = fut
-            self._pending += 1
-            self._set_depth()
+            return _resolved(hit)
         fut.add_done_callback(lambda _f, d=key.digest: self._settle(d))
         return fut
 
@@ -399,16 +377,9 @@ class Shard:
         on expiry raises :class:`ServiceTimeoutError` — the computation is
         not cancelled and still lands in the cache for the retry.
         """
-        fut = self.submit(mat, **options)
         if timeout is _UNSET:
             timeout = self.config.request_timeout
-        try:
-            return fut.result(timeout)
-        except FuturesTimeoutError:
-            self._count("timeouts")
-            raise ServiceTimeoutError(
-                f"request did not complete within {timeout}s"
-            ) from None
+        return self._wait(self.submit(mat, **options), timeout)
 
     def reorder_many(
         self, mats: Sequence[CSRMatrix], **options
@@ -420,43 +391,44 @@ class Shard:
         (``batch_window_ms > 0``) the misses coalesce into grouped
         dispatches automatically — a whole list submitted at once
         typically lands in one batch.  Results are byte-identical to
-        per-matrix :meth:`reorder` calls.
+        per-matrix :meth:`reorder` calls; each wait takes the config's
+        ``request_timeout``.
         """
         futures = [self.submit(m, **options) for m in mats]
-        timeout = self.config.request_timeout
-        out = []
-        for fut in futures:
-            try:
-                out.append(fut.result(timeout))
-            except FuturesTimeoutError:
-                self._count("timeouts")
-                raise ServiceTimeoutError(
-                    f"batch request did not complete within {timeout}s"
-                ) from None
-        return out
+        return [self._wait(f, self.config.request_timeout) for f in futures]
 
-    def map(
-        self, mats: Sequence[CSRMatrix], **options
-    ) -> List[ReorderResult]:
-        """Alias of :meth:`reorder_many` (the PR 3 name, kept working)."""
-        return self.reorder_many(mats, **options)
+    def _wait(self, fut: Future, timeout: Optional[float]) -> ReorderResult:
+        try:
+            return fut.result(timeout)
+        except FuturesTimeoutError:
+            self._count("timeouts")
+            raise ServiceTimeoutError(
+                f"request did not complete within {timeout}s"
+            ) from None
 
     def _admit_method(self, algorithm: str, method: str) -> str:
-        """Degrade a request for a method this install does not have.
+        """The method a request is actually admitted on.
 
-        Delegates to :func:`admit_method`; the degradation is counted as
-        ``service.fallbacks.<method>``, like any other degradation,
-        instead of bouncing with a validation error.
+        A client may ask for an optional backend that never registered
+        here (GPU build, distributed build...).  With fallback enabled
+        such a request is admitted on the method's first registered
+        degradation target — counted as ``service.fallbacks.<method>`` —
+        instead of bouncing with a validation error.  Admission happens
+        before keying, because the admitted method is part of the key.
         """
-
-        def _degraded(requested: str) -> None:
-            self._count("fallbacks")
-            record_fallback(requested, prefix="service")
-
-        return admit_method(
-            algorithm, method,
-            fallback=self.config.fallback, on_fallback=_degraded,
-        )
+        if (
+            not self.config.fallback
+            or algorithm != "rcm"
+            or method == "auto"
+            or backends.is_registered(method)
+        ):
+            return method
+        for m in backends.degradation_order(method)[1:]:
+            if backends.is_registered(m):
+                self._count("fallbacks")
+                record_fallback(method, prefix="service")
+                return m
+        return method
 
     # ------------------------------------------------------------------
     # execution
@@ -472,28 +444,33 @@ class Shard:
                 request_id=ctx.request_id if ctx is not None else None,
             ):
                 self._count("computed")
-                result = self._execute(mat, kwargs)
+                result = self._execute(_call_reorder, mat, kwargs)
                 # cache before the future resolves so a waiter that
                 # arrives after coalescing cleanup finds the entry, never
                 # a stale gap
                 self.cache.put(key, result)
                 return result
 
-    def _execute(self, mat: CSRMatrix, kwargs: dict) -> ReorderResult:
-        if not self.config.fallback:
-            return _call_reorder(mat, kwargs)
-        chain = fallback_chain(kwargs["algorithm"], kwargs["method"])
-        last_exc: Optional[BaseException] = None
+    def _execute(self, call: Callable, payload, kwargs: dict):
+        """``call(payload, kwargs)`` down the method degradation chain.
+
+        ``call`` is :func:`_call_reorder` for one request or
+        :func:`_call_reorder_many` for an admission group, which falls
+        back together.  With ``fallback=False`` the chain is the requested
+        method alone.
+        """
+        chain = (
+            fallback_chain(kwargs["algorithm"], kwargs["method"])
+            if self.config.fallback else (kwargs["method"],)
+        )
         for i, m in enumerate(chain):
             try:
-                return _call_reorder(mat, {**kwargs, "method": m})
-            except _FALLBACK_EXCEPTIONS as exc:
-                last_exc = exc
-                if i + 1 < len(chain):
-                    self._count("fallbacks")
-                    record_fallback(m, prefix="service")
-        assert last_exc is not None
-        raise last_exc
+                return call(payload, {**kwargs, "method": m})
+            except _FALLBACK_EXCEPTIONS:
+                if i + 1 == len(chain):
+                    raise
+                self._count("fallbacks")
+                record_fallback(m, prefix="service")
 
     # ------------------------------------------------------------------
     # batched admission
@@ -605,7 +582,7 @@ class Shard:
             ):
                 for _ in items:
                     self._count("computed")
-                results = self._execute_many(mats, kwargs)
+                results = self._execute(_call_reorder_many, mats, kwargs)
                 for key, result, fut, ok in zip(
                     keys, results, futures, live
                 ):
@@ -616,26 +593,6 @@ class Shard:
             for fut, ok in zip(futures, live):
                 if ok and not fut.done():
                     fut.set_exception(exc)
-
-    def _execute_many(
-        self, mats: List[CSRMatrix], kwargs: dict
-    ) -> List[ReorderResult]:
-        """Batch analogue of :meth:`_execute`: one grouped dispatch, same
-        degradation chain (the whole group falls back together)."""
-        if not self.config.fallback:
-            return _call_reorder_many(mats, kwargs)
-        chain = fallback_chain(kwargs["algorithm"], kwargs["method"])
-        last_exc: Optional[BaseException] = None
-        for i, m in enumerate(chain):
-            try:
-                return _call_reorder_many(mats, {**kwargs, "method": m})
-            except _FALLBACK_EXCEPTIONS as exc:
-                last_exc = exc
-                if i + 1 < len(chain):
-                    self._count("fallbacks")
-                    record_fallback(m, prefix="service")
-        assert last_exc is not None
-        raise last_exc
 
     def _settle(self, digest: str) -> None:
         with self._lock:
@@ -648,30 +605,16 @@ class Shard:
     # bookkeeping
     # ------------------------------------------------------------------
     def _count(self, name: str) -> None:
-        # separate lock: _count is called both inside and outside
-        # self._lock regions, and threading.Lock is not reentrant
-        with self._counter_lock:
+        with self._lock:
             self.counters[name] += 1
         tel = telemetry.get()
         if tel.enabled:
-            # aggregate counters sum correctly across shards; a shard
-            # additionally mirrors into its own labeled family
             tel.counter(f"service.{name}").add(1)
-            if self.shard_id is not None:
-                tel.counter(f"service.shard.{self.shard_id}.{name}").add(1)
 
     def _set_depth(self) -> None:
         tel = telemetry.get()
         if tel.enabled:
-            if self.shard_id is None:
-                tel.gauge("service.queue.depth").set(self._pending)
-            else:
-                # per-shard gauge only: N shards last-writer-winning one
-                # global gauge would be noise, and the router sums
-                # ``pending`` for the aggregate anyway
-                tel.gauge(
-                    f"service.shard.{self.shard_id}.queue.depth"
-                ).set(self._pending)
+            tel.gauge("service.queue.depth").set(self._pending)
 
     @property
     def pending(self) -> int:
@@ -683,8 +626,8 @@ class Shard:
     def healthy(self) -> bool:
         """Able to serve: open, with a live admission thread when batched.
 
-        What ``/statusz`` reports per shard — a shard whose batched
-        admission thread died would otherwise park every miss forever.
+        What ``/statusz`` reports — a service whose batched admission
+        thread died would otherwise park every miss forever.
         """
         if self._closed:
             return False
@@ -697,11 +640,10 @@ class Shard:
 
     def stats(self) -> dict:
         """JSON-serializable snapshot: service counters + cache state."""
-        with self._counter_lock:
-            counters = dict(self.counters)
         with self._lock:
+            counters = dict(self.counters)
             pending = self._pending
-        out = {
+        return {
             "pending": pending,
             "max_pending": self.config.max_pending,
             "n_workers": self.config.n_workers,
@@ -709,22 +651,16 @@ class Shard:
             **{f"service.{k}": v for k, v in counters.items()},
             "cache": self.cache.stats_dict(),
         }
-        if self.shard_id is not None:
-            out["shard_id"] = self.shard_id
-            from repro.telemetry import profiler as _profiler
-
-            prof = _profiler.get_profiler()
-            if prof is not None:
-                out["profile_samples"] = prof.samples_by_shard().get(
-                    self.shard_id, 0
-                )
-        return out
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
     def close(self, *, wait: bool = True) -> None:
-        """Stop accepting requests and shut the worker pool down."""
+        """Stop accepting requests and shut the worker pool down.
+
+        Requests still queued for batched admission are dispatched before
+        the pool stops, so every accepted future resolves.
+        """
         self._closed = True
         if self._admission_thread is not None:
             self._batch_queue.put(None)  # wake the admission loop
@@ -733,38 +669,13 @@ class Shard:
             self._admission_thread = None
         self._pool.shutdown(wait=wait)
 
-    def __enter__(self) -> "Shard":
+    def __enter__(self) -> "ReorderService":
         return self
 
     def __exit__(self, *exc) -> None:
         self.close()
 
 
-class ReorderService(Shard):
-    """In-process reordering service over :func:`repro.reorder`.
-
-    ::
-
-        with ReorderService() as svc:
-            res = svc.reorder(mat)                  # cold: computes + caches
-            res = svc.reorder(mat)                  # warm: cache hit
-            futs = [svc.submit(m) for m in mats]    # async fan-out
-
-    Permutations are bit-identical to ``repro.reorder(mat, ...)`` — cold
-    and warm — because cache keys are content hashes of the exact pattern
-    plus options.
-
-    Structurally this is one anonymous :class:`Shard` (``shard_id=None``):
-    the historical single-service API, byte-for-byte unchanged.  For N > 1
-    shards behind a consistent-hash router see
-    :class:`repro.service.ShardedService`; for an awaitable front end see
-    :class:`repro.service.AsyncReorderService`.
-    """
-
-    def __init__(
-        self,
-        config: Optional[ServiceConfig] = None,
-        *,
-        cache: Optional[PermutationCache] = None,
-    ) -> None:
-        super().__init__(config, cache=cache)
+#: the historical name of the sharded service; ``shards=`` is now a
+#: :class:`ReorderService` argument
+ShardedService = ReorderService

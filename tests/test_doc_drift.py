@@ -185,9 +185,11 @@ class TestProseDocs:
         # reorder_many / the shm transport / the removed entry points
         # shipped as one surface; docs/api.md must cover each piece
         text = (DOCS / "api.md").read_text()
+        assert "REPRO_NO_SHM" not in text, (
+            "docs/api.md still documents the removed REPRO_NO_SHM opt-out"
+        )
         for needle in (
             "reorder_many",
-            "REPRO_NO_SHM",
             "setup_cycles",
             "RemovedAPIError",
             "batch_window_ms",
@@ -226,27 +228,37 @@ class TestProseDocs:
         text = (DOCS / "service.md").read_text()
         for needle in (
             "## Sharded deployment",
+            "ReorderService(cfg, shards=4)",
             "ShardedService",
             "AsyncReorderService",
             "HashRing.route",
             "shard-<i>",
             "--shards",
             "--shard 2",
-            'service_shard_requests_total{shard="i"}',
-            'service_shard_queue_depth{shard="i"}',
-            "healthy_shards",
-            "shard_balance",
+            "cache.n_shards",
+            "4 shards × 128",
         ):
             assert needle in text, (
                 f"docs/service.md missing {needle!r}; see the "
                 "'Sharded deployment' section"
             )
-        from repro.service.router import DEFAULT_REPLICAS
+        # per-shard telemetry and the modeled capacity gates are gone
+        for stale in (
+            "service_shard_",
+            "healthy_shards",
+            "queue_depths",
+            "shard_balance",
+            "shard_capacity_requests_per_s",
+        ):
+            assert stale not in text, (
+                f"docs/service.md still documents removed {stale!r}"
+            )
+        from repro.service.router import REPLICAS
 
-        assert f"{DEFAULT_REPLICAS} virtual points" in text, (
+        assert f"{REPLICAS} virtual points" in text, (
             "docs/service.md virtual-node count is stale; expected "
-            f"'{DEFAULT_REPLICAS} virtual points' "
-            "(from repro.service.router.DEFAULT_REPLICAS)"
+            f"'{REPLICAS} virtual points' "
+            "(from repro.service.router.REPLICAS)"
         )
 
     def test_sharded_deployment_cross_links(self):

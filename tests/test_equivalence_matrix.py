@@ -27,7 +27,6 @@ from repro.service import (
     PermutationCache,
     ReorderService,
     ServiceConfig,
-    ShardedService,
 )
 from repro.sparse.csr import CSRMatrix, coo_to_csr
 
@@ -161,9 +160,9 @@ class TestServiceMatrix:
 
     @pytest.mark.parametrize("n_shards", [1, 4])
     def test_sharded_service_cold_and_warm(self, n_shards):
-        """The consistent-hash router is a placement decision, never a
-        semantic one: any shard count returns the serial golden bytes."""
-        with ShardedService(
+        """The consistent-hash cache layout is a placement decision, never
+        a semantic one: any shard count returns the serial golden bytes."""
+        with ReorderService(
             ServiceConfig(n_workers=2), shards=n_shards
         ) as svc:
             for name in MATRICES:

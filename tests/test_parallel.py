@@ -68,7 +68,9 @@ class TestComponentPool:
 
     def test_fallback_blocks_cover_matrix(self, two_triangles):
         ref = _reorder_rcm(two_triangles, method="serial")
-        parts = rcm_components(two_triangles, ref.start_nodes)
+        parts = rcm_components(
+            two_triangles, ref.start_nodes, sizes=ref.component_sizes
+        )
         assert sum(len(p) for p in parts) == two_triangles.n
 
 

@@ -12,6 +12,7 @@ invalidation.  The cross-method value battery lives in
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import numpy as np
@@ -19,6 +20,7 @@ import pytest
 
 import repro.service.core as service_core
 from repro import telemetry
+from repro.errors import ReproError
 from repro.facade import reorder
 from repro.service import (
     PermutationCache,
@@ -371,6 +373,56 @@ class TestInvalidation:
             assert len(cache) == 0
             assert not list(tmp_path.glob("*.npz"))
 
+    def test_invalidate_treats_vanished_file_as_not_held(
+        self, small_grid, tmp_path, monkeypatch
+    ):
+        # the check-then-unlink window of two concurrent invalidations:
+        # the file looks present, but another caller already removed it
+        cache = PermutationCache(8, disk_dir=tmp_path)
+        with ReorderService(cache=cache) as svc:
+            svc.reorder(small_grid)
+        key = cache_key(small_grid)
+        assert cache.invalidate(key) == 2
+        monkeypatch.setattr(type(tmp_path), "exists", lambda self: True)
+        assert cache.invalidate(key) == 0
+        assert cache.stats.invalidations == 1
+
+    def test_concurrent_invalidations_drop_each_tier_once(
+        self, small_grid, tmp_path
+    ):
+        cache = PermutationCache(8, disk_dir=tmp_path)
+        key = cache_key(small_grid)
+        result = reorder(small_grid, method="serial")
+        n_threads = 8
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                cache.put(key, result)
+                barrier = threading.Barrier(n_threads)
+                counts, errors = [], []
+
+                def hammer():
+                    barrier.wait(timeout=10)
+                    try:
+                        counts.append(cache.invalidate(key))
+                    except Exception as exc:  # pragma: no cover - the bug
+                        errors.append(exc)
+
+                threads = [
+                    threading.Thread(target=hammer)
+                    for _ in range(n_threads)
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+                assert not errors, errors
+                assert len(counts) == n_threads
+                assert sum(counts) == 2  # memory once, disk once
+        finally:
+            sys.setswitchinterval(old_interval)
+
     def test_clear(self, small_grid, medium_grid):
         with ReorderService() as svc:
             svc.reorder(small_grid)
@@ -415,8 +467,27 @@ class TestLifecycle:
         mats = [random_symmetric(30 + 7 * i, 0.15, i) for i in range(4)]
         refs = [reorder(m, method="serial").permutation.tobytes() for m in mats]
         with ReorderService(ServiceConfig(n_workers=3)) as svc:
-            out = svc.map(mats)
+            out = svc.reorder_many(mats)
         assert [r.permutation.tobytes() for r in out] == refs
+
+    def test_close_mid_batch_resolves_every_future(self):
+        mats = [random_symmetric(40 + i, 0.1, 300 + i) for i in range(16)]
+        refs = [reorder(m, method="serial").permutation.tobytes() for m in mats]
+        before = set(threading.enumerate())
+        svc = ReorderService(ServiceConfig(batch_window_ms=50), shards=4)
+        futs = [svc.submit(m) for m in mats]
+        svc.close()
+        for fut, ref in zip(futs, refs):
+            try:
+                got = fut.result(timeout=0)
+            except ReproError:
+                continue
+            assert got.permutation.tobytes() == ref
+        assert not [
+            t.name for t in set(threading.enumerate()) - before
+            if t.name.startswith("repro-service")
+        ]
+        assert svc.pending == 0
 
     def test_request_span_recorded(self, tel, small_grid):
         with ReorderService() as svc:

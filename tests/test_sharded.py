@@ -1,15 +1,14 @@
-"""Tests for the sharded service layer (``repro.service.router`` / ``aio``).
+"""Tests for the sharded cache layout (``repro.service.router``) and the
+asyncio front door (``repro.service.aio``).
 
 Covers the consistent-hash ring (remap bounds under shard add/remove,
 insertion-order independence), disk-tier survival across resharding
 (remapped keys warm-hit through the fallback probe and promote into the
-new owner's directory only), the concurrent router guarantees (hammered
-from >=16 threads: exactly-one-computation per key, no cross-shard
+new owner's directory only), ``ReorderService(shards=N)`` under >=16
+concurrent threads (exactly-one-computation per key, no cross-shard
 disk-tier writes, byte-identity with the unsharded service), the asyncio
-front door, per-shard telemetry (mirrored counters, shard-labeled
-Prometheus families, ``TraceContext.shard_id``), the shard-aware
-``repro cache`` CLI, the ``shards=`` facade knob, and the
-``transform_ms`` flight-recorder field.
+front door, the shard-aware ``repro cache`` CLI, the ``shards=`` facade
+knob, and the ``transform_ms`` flight-recorder field.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ import numpy as np
 import pytest
 
 import repro.service.core as service_core
-from repro import telemetry
 from repro.cli import main as cli_main
 from repro.facade import reorder
 from repro.service import (
@@ -31,7 +29,6 @@ from repro.service import (
     ReorderService,
     ServiceConfig,
     ServiceTimeoutError,
-    Shard,
     ShardedCache,
     ShardedService,
     cache_key,
@@ -40,8 +37,6 @@ from repro.service import (
 from repro.service.router import discover_shard_dirs, shard_dir
 from repro.sparse.csr import coo_to_csr
 from repro.telemetry import flight
-from repro.telemetry.context import new_trace_context
-from repro.telemetry.prometheus import render_prometheus
 
 
 def random_symmetric(n, density, seed):
@@ -64,25 +59,19 @@ def _digests(count):
     ]
 
 
+def _owner(svc, key):
+    """The shard slot of ``key`` in a sharded service's cache."""
+    return svc.cache.shard_index(key)
+
+
 def _spanning_mats(svc, n_mats=24):
     """Matrices whose keys cover every shard of ``svc`` (asserted)."""
     mats = [random_symmetric(60, 0.05, seed=100 + i) for i in range(n_mats)]
-    owners = {svc.route(cache_key(m)) for m in mats}
-    assert owners == set(range(svc.n_shards)), "key set must span all shards"
+    owners = {_owner(svc, cache_key(m)) for m in mats}
+    assert owners == set(range(svc.cache.n_shards)), (
+        "key set must span all shards"
+    )
     return mats
-
-
-@pytest.fixture
-def tel():
-    """Enabled, clean process-wide telemetry; restored afterwards."""
-    t = telemetry.get()
-    was_enabled = t.enabled
-    t.reset()
-    t.enable()
-    yield t
-    t.reset()
-    if not was_enabled:
-        t.disable()
 
 
 class TestHashRing:
@@ -136,7 +125,7 @@ class TestHashRing:
             ring.add(1)
         with pytest.raises(ValueError):
             ring.remove(7)
-        assert ring.shard_ids == (0, 1)
+        assert ring.shards == (0, 1)
         assert len(ring) == 2
 
     def test_empty_ring_rejects_routing(self):
@@ -152,7 +141,7 @@ class TestReshardingDiskSurvival:
         mats = [random_symmetric(60, 0.05, seed=500 + i) for i in range(12)]
         cfg = ServiceConfig(disk_dir=root)
 
-        with ShardedService(cfg, shards=2) as svc:
+        with ReorderService(cfg, shards=2) as svc:
             cold = [svc.reorder(m) for m in mats]
         golden = [r.permutation.tobytes() for r in cold]
         files_before = {
@@ -163,19 +152,19 @@ class TestReshardingDiskSurvival:
 
         # reopen over the same root with a different shard count: remapped
         # keys must warm-hit through the sibling-directory fallback probe
-        with ShardedService(cfg, shards=3) as svc:
+        with ReorderService(cfg, shards=3) as svc:
             keys = [cache_key(m) for m in mats]
             moved = [
                 k for k in keys
                 if k.digest + ".npz" not in files_before.get(
-                    svc.route(k), set()
+                    _owner(svc, k), set()
                 )
             ]
             assert moved, "resharding 2 -> 3 must remap some keys"
             warm = [svc.reorder(m) for m in mats]
             agg = svc.stats()
             assert agg["service.computed"] == 0, "every key must warm-hit"
-            new_owner = {k.digest: svc.route(k) for k in keys}
+            new_owner = {k.digest: _owner(svc, k) for k in keys}
 
         assert [r.permutation.tobytes() for r in warm] == golden
 
@@ -212,10 +201,12 @@ class TestConcurrentRouter:
 
         monkeypatch.setattr(service_core, "_call_reorder", counting_call)
 
-        with ShardedService(cfg, shards=4) as svc:
+        with ReorderService(cfg, shards=4) as svc:
             mats = _spanning_mats(svc)
             # disk files are named by the full cache-key digest
-            owner = {cache_key(m).digest: svc.route(cache_key(m)) for m in mats}
+            owner = {
+                cache_key(m).digest: _owner(svc, cache_key(m)) for m in mats
+            }
 
             barrier = threading.Barrier(self.N_THREADS)
             results = [None] * self.N_THREADS
@@ -243,7 +234,7 @@ class TestConcurrentRouter:
             assert not errors, errors
 
         # exactly one underlying computation per key, despite 16 threads
-        # racing the same key set across every shard
+        # racing the same key set spread over every shard
         assert computed == {pattern_digest(m): 1 for m in mats}
 
         # all threads agree, and the sharded answer is byte-identical to
@@ -267,9 +258,7 @@ class TestConcurrentRouter:
                 )
 
     def test_coalescing_holds_per_shard_while_in_flight(self, gated):
-        with ShardedService(
-            ServiceConfig(n_workers=1), shards=2
-        ) as svc:
+        with ReorderService(ServiceConfig(n_workers=1), shards=2) as svc:
             mat = random_symmetric(40, 0.1, seed=3)
             futs = [svc.submit(mat) for _ in range(6)]
             gated.wait_entered()
@@ -312,45 +301,42 @@ def gated(monkeypatch):
 
 class TestShardedServiceSurface:
     def test_stats_shape_and_health(self):
-        with ShardedService(shards=3) as svc:
+        with ReorderService(shards=3) as svc:
             mat = random_symmetric(50, 0.08, seed=11)
             svc.reorder(mat)
             st = svc.stats()
-            assert st["n_shards"] == 3
-            assert st["healthy_shards"] == 3
-            assert svc.healthy
-            assert len(st["shards"]) == 3
-            assert [s["shard_id"] for s in st["shards"]] == [0, 1, 2]
-            assert st["service.requests"] == sum(
-                s["service.requests"] for s in st["shards"]
-            )
-            assert len(svc.queue_depths()) == 3
+            assert st["healthy"] and svc.healthy
+            assert st["cache"]["n_shards"] == 3
+            assert len(st["cache"]["shards"]) == 3
+            assert st["service.requests"] == 1
+            assert st["cache"]["puts"] == sum(
+                s["puts"] for s in st["cache"]["shards"]
+            ) == 1
         assert not svc.healthy  # closed
 
     def test_invalidate_sweeps_all_shards_and_reports_tiers(self, tmp_path):
         cfg = ServiceConfig(disk_dir=tmp_path / "cache")
-        with ShardedService(cfg, shards=2) as svc:
+        with ReorderService(cfg, shards=2) as svc:
             mat = random_symmetric(50, 0.08, seed=12)
             svc.reorder(mat)
             key = cache_key(mat)
-            assert svc.invalidate(key) == 2  # memory + disk
-            assert svc.invalidate(key) == 0
+            assert svc.cache.invalidate(key) == 2  # memory + disk
+            assert svc.cache.invalidate(key) == 0
             svc.reorder(mat)
             assert svc.stats()["service.computed"] == 2
 
     def test_mismatched_external_cache_rejected(self, tmp_path):
         cache = ShardedCache(tmp_path / "c", 2)
         with pytest.raises(ValueError):
-            ShardedService(shards=4, cache=cache)
+            ReorderService(shards=4, cache=cache)
 
     def test_unsharded_service_api_unchanged(self):
-        # the historical entry point still exists, still defaults to one
-        # anonymous shard, and Shard is its reusable core
+        # one service class: the historical sharded name is an alias, and
+        # the default is one unsharded cache
+        assert ShardedService is ReorderService
         svc = ReorderService()
         try:
-            assert isinstance(svc, Shard)
-            assert svc.shard_id is None
-            assert "shard_id" not in svc.stats()
+            assert "n_shards" not in svc.stats()["cache"]
         finally:
             svc.close()
 
@@ -363,7 +349,8 @@ class TestAsyncReorderService:
             async with AsyncReorderService(shards=2) as svc:
                 cold = await svc.reorder(medium_grid, method="serial")
                 warm = await svc.reorder(medium_grid, method="serial")
-                assert len(svc.queue_depths()) == 2
+                assert svc.pending == 0
+                assert svc.stats()["cache"]["n_shards"] == 2
                 return cold, warm
 
         cold, warm = asyncio.run(run())
@@ -406,49 +393,18 @@ class TestAsyncReorderService:
             svc.close()
 
 
-class TestShardTelemetry:
-    def test_counters_mirrored_per_shard_and_in_aggregate(self, tel):
-        with ShardedService(shards=2) as svc:
-            mats = _spanning_mats(svc, n_mats=8)
-            for m in mats:
-                svc.reorder(m)
-        snap = tel.snapshot()["counters"]
-        per_shard = [
-            snap.get(f"service.shard.{i}.requests", 0) for i in range(2)
-        ]
-        assert all(v > 0 for v in per_shard)
-        assert snap["service.requests"] == sum(per_shard) == len(mats)
-
-    def test_prometheus_folds_shard_series_into_labels(self, tel):
-        with ShardedService(shards=2) as svc:
-            for m in _spanning_mats(svc, n_mats=8):
-                svc.reorder(m)
-        text = render_prometheus(tel.metrics)
-        assert 'service_shard_requests_total{shard="0"}' in text
-        assert 'service_shard_requests_total{shard="1"}' in text
-        assert 'service_shard_queue_depth{shard="0"}' in text
-        # the raw dotted-with-index name never leaks into the exposition
-        assert "service.shard.0" not in text
-
-    def test_trace_context_carries_shard_id(self):
-        ctx = new_trace_context(shard_id=3)
-        assert ctx.shard_id == 3
-        assert ctx.child(42).shard_id == 3
-        assert new_trace_context().shard_id is None
-
-
 class TestShardAwareCacheCLI:
     @pytest.fixture
     def populated(self, tmp_path):
         """A sharded disk root with entries spanning >=2 shards."""
         root = tmp_path / "cache"
         cfg = ServiceConfig(disk_dir=root)
-        with ShardedService(cfg, shards=4) as svc:
+        with ReorderService(cfg, shards=4) as svc:
             mats = _spanning_mats(svc, n_mats=12)
             for m in mats:
                 svc.reorder(m)
             digests = {
-                cache_key(m).digest: svc.route(cache_key(m)) for m in mats
+                cache_key(m).digest: _owner(svc, cache_key(m)) for m in mats
             }
         return root, digests
 

@@ -1,6 +1,6 @@
 """Shared-memory transport lifecycle: publish/attach round trips,
 guaranteed unlink on every exit path, the no-pickle guarantee, pool reuse
-and the ``REPRO_NO_SHM`` opt-out.
+and the in-process fallback where shared memory is unavailable.
 
 These tests force the process-pool path (``force_processes=True``) so they
 exercise the real transport even on single-core CI hosts.  Tests that
@@ -227,27 +227,22 @@ class TestNoPickle:
 
 
 # ----------------------------------------------------------------------
-# opt-out + pool reuse
+# no-shm fallback + pool reuse
 # ----------------------------------------------------------------------
 class TestOptOutAndPool:
-    def test_no_shm_env_disables_transport(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_SHM", "1")
-        assert not shm.shm_available()
-
     @needs_fork
-    def test_pickle_path_identical(self, monkeypatch):
+    def test_no_shm_runs_in_process_identical(self, monkeypatch):
         mats = _workload()
         cfg = ParallelConfig(n_workers=2, force_processes=True)
-        monkeypatch.setenv("REPRO_NO_SHM", "1")
-        try:
-            legacy = map_matrices(mats, method="vectorized", config=cfg)
-        finally:
-            reset_pools()
-        monkeypatch.delenv("REPRO_NO_SHM")
         fresh = map_matrices(mats, method="vectorized", config=cfg)
-        for a, b in zip(legacy, fresh):
-            assert np.array_equal(a.permutation, b.permutation)
+        telemetry.enable()
+        monkeypatch.setattr(shm, "shm_available", lambda: False)
+        fallback = map_matrices(mats, method="vectorized", config=cfg)
+        for a, b in zip(fallback, fresh):
+            assert a.permutation.tobytes() == b.permutation.tobytes()
             assert a.reordered_bandwidth == b.reordered_bandwidth
+        counters = telemetry.get().snapshot()["counters"]
+        assert counters["parallel.fallbacks.no-shm"] == 1
 
     @needs_shm
     @needs_fork
