@@ -32,12 +32,11 @@ import time
 
 import numpy as np
 
-from repro.core.api import _components_by_min_node
 from repro.core.transform import plan_powerlaw
 from repro.facade import reorder
 from repro.matrices.scenarios import FAMILY_FLOORS, SCENARIOS, shuffled
 from repro.sparse.bandwidth import bandwidth
-from repro.sparse.graph import bfs_levels
+from repro.sparse.graph import bfs_levels, connected_components
 from repro.telemetry.events import SCHEMA, host_info
 
 SIZE = "small"
@@ -49,8 +48,8 @@ HEAVY_TAILED = ("power-law", "hub-dominated")
 def _giant_levels(mat, *, hub_start: bool) -> int:
     """BFS level count of the largest component, from the start node the
     plain (min-valence) or transformed (hub / max-valence) path picks."""
-    comps = _components_by_min_node(mat)
-    giant = max(comps, key=len)
+    _, labels = connected_components(mat)
+    giant = np.flatnonzero(labels == np.argmax(np.bincount(labels)))
     valence = np.diff(mat.indptr)
     pick = np.argmax if hub_start else np.argmin
     start = int(giant[pick(valence[giant])])

@@ -24,25 +24,20 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro import backends
 from repro.backends import resolve_auto_method  # noqa: F401  (re-export)
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.graph import bfs_levels
+from repro.sparse.graph import connected_components
 from repro.sparse.bandwidth import (
-    bandwidth,
     bandwidth_after,
     envelope_after,
     envelope_size,
 )
-from repro.sparse.validate import (
-    check_batch,
-    is_structurally_symmetric,
-    validate_csr,
-)
+from repro.sparse.validate import check_batch
 from repro.core.batches import BatchConfig
 from repro.core.peripheral import find_pseudo_peripheral
 from repro.core.transform import check_transform, plan_powerlaw, resolve_transform
@@ -138,63 +133,51 @@ class ReorderResult:
         )
 
 
-def _components_by_min_node(mat: CSRMatrix) -> List[np.ndarray]:
-    """Connected components as node arrays, ordered by smallest member."""
-    n = mat.n
-    seen = np.zeros(n, dtype=bool)
-    comps: List[np.ndarray] = []
-    for seed in range(n):
-        if seen[seed]:
-            continue
-        levels = bfs_levels(mat, seed)
-        members = np.flatnonzero(levels >= 0)
-        seen[members] = True
-        comps.append(members.astype(np.int64))
-    return comps
+def _validate(
+    mats: Sequence[CSRMatrix], *, symmetrize: bool,
+    positions: Optional[Sequence[int]] = None,
+) -> Tuple[List[CSRMatrix], np.ndarray]:
+    """The validate phase of one matrix or of a batch.
 
-
-def _pick_start(
-    mat: CSRMatrix, members: np.ndarray, start, *, prefer_hub: bool = False
-) -> int:
-    valence = np.diff(mat.indptr)
-    if prefer_hub:
-        # transformed path: a hub-first BFS keeps the level structure
-        # shallow, which is the entire point of the power-law pass
-        return int(members[np.argmax(valence[members])])
-    if start == "min-valence":
-        return int(members[np.argmin(valence[members])])
-    if start == "peripheral":
-        seed = int(members[np.argmin(valence[members])])
-        return find_pseudo_peripheral(mat, seed).node
-    raise AssertionError(start)  # pragma: no cover - validated upstream
-
-
-def _prevalidate_batch(mats: List[CSRMatrix]) -> np.ndarray:
-    """Run the validate phase for a whole batch in one vectorized pass.
-
-    The batch counterpart of the validate phase in :func:`_reorder_rcm`:
-    one :func:`repro.sparse.validate.check_batch` pass over the
-    block-diagonal union replaces ``len(mats)`` per-matrix passes, and
-    yields each matrix's initial bandwidth for free.  Callers hand those
-    down as ``_initial_bw`` so the per-matrix pipeline skips the checks.
-    Matrices must already be symmetrized.  When the vectorized pass finds
-    the batch invalid, the per-matrix checks rerun so the error raised is
-    the exact one the single-matrix path raises.
+    Symmetrizes when asked, then runs
+    :func:`~repro.sparse.validate.check_batch`, which raises
+    :class:`ValidationError` for a malformed pattern, named by its
+    ``positions`` entry when given.  Returns the matrices to reorder and
+    their initial bandwidths.
     """
-    bws = check_batch(mats)
-    if bws is not None:
-        return bws
-    for m in mats:
-        validate_csr(m, require_sorted=True)
-        if not is_structurally_symmetric(m):
-            raise ValueError(
-                "matrix pattern is not symmetric; pass symmetrize=True or call "
-                "CSRMatrix.symmetrize() first"
-            )
-    # the vectorized pass was conservative; fall back to per-matrix metrics
-    return np.fromiter(
-        (bandwidth(m) for m in mats), dtype=np.int64, count=len(mats)
-    )
+    with telemetry.get().span(
+        "validate", category="api", n_matrices=len(mats),
+        nnz=sum(m.nnz for m in mats),
+    ):
+        ms = [m.symmetrize() for m in mats] if symmetrize else list(mats)
+        return ms, check_batch(ms, positions)
+
+
+def _pick_starts(
+    mat: CSRMatrix, labels: np.ndarray, n_comps: int, start: str,
+    *, prefer_hub: bool = False,
+) -> List[int]:
+    """Every component's start node, in component order.
+
+    One pass over the whole pattern: the key ``valence * n + node`` is
+    minimized per component label, which picks the minimum-valence node
+    and the lowest id among ties (``argmin``'s tie-break).  The
+    transformed path negates the valence and starts from each component's
+    hub: a hub-first BFS keeps the level structure shallow, which is the
+    entire point of the power-law pass.  ``"peripheral"`` seeds the
+    pseudo-peripheral search with the minimum-valence node.
+    """
+    n = mat.n
+    if n_comps == 0:
+        return []
+    valence = np.diff(mat.indptr)
+    key = (-valence if prefer_hub else valence) * n + np.arange(n)
+    best = np.full(n_comps, np.iinfo(np.int64).max, dtype=np.int64)
+    np.minimum.at(best, labels, key)
+    starts = (best % n).tolist()
+    if start == "peripheral" and not prefer_hub:
+        return [find_pseudo_peripheral(mat, s).node for s in starts]
+    return starts
 
 
 def _reorder_rcm(
@@ -207,16 +190,15 @@ def _reorder_rcm(
     symmetrize: bool = False,
     seed: int = 0,
     transform: Optional[str] = None,
-    _initial_bw: Optional[int] = None,
+    _position: Optional[int] = None,
 ) -> "ReorderResult":
     """RCM pipeline implementation (no deprecation warning; see
     :func:`repro.reorder` for the public facade and parameter docs).
 
     ``n_workers`` is validated at the facade boundary
-    (:func:`repro.facade.reorder`); this layer trusts it.  ``_initial_bw``
-    is the batch path's private contract: a bandwidth precomputed by
-    :func:`_prevalidate_batch` certifies the matrix already passed the
-    validate phase (symmetrize included), so both are skipped here.
+    (:func:`repro.facade.reorder`); this layer trusts it.  ``_position``
+    is the batch paths' private contract: the matrix's index in the
+    caller's batch, which a validation error names.
     """
     check_choice("method", method, backends.method_choices())
     check_start(start, mat.n)
@@ -231,18 +213,13 @@ def _reorder_rcm(
     tel = telemetry.get()
     phase_ns: Dict[str, int] = {p: 0 for p in PHASES}
 
-    if _initial_bw is None:
-        t_phase = time.perf_counter_ns()
-        with tel.span("validate", category="api", n=mat.n, nnz=mat.nnz):
-            if symmetrize:
-                mat = mat.symmetrize()
-            validate_csr(mat, require_sorted=True)
-            if not is_structurally_symmetric(mat):
-                raise ValueError(
-                    "matrix pattern is not symmetric; pass symmetrize=True "
-                    "or call CSRMatrix.symmetrize() first"
-                )
-        phase_ns["validate"] = time.perf_counter_ns() - t_phase
+    t_phase = time.perf_counter_ns()
+    (mat,), bws = _validate(
+        [mat], symmetrize=symmetrize,
+        positions=None if _position is None else [_position],
+    )
+    init_bw = int(bws[0])
+    phase_ns["validate"] = time.perf_counter_ns() - t_phase
 
     # transform phase: resolve the power-law pass and, when it applies,
     # reorder the hub-first *relabeled* pattern instead — the relabeling
@@ -266,43 +243,37 @@ def _reorder_rcm(
 
     t_phase = time.perf_counter_ns()
     with tel.span("components", category="api") as sp:
-        comps = _components_by_min_node(work)
-        sp.set(n_components=len(comps))
+        n_comps, labels = connected_components(work)
+        sizes = np.bincount(labels, minlength=n_comps).tolist()
+        sp.set(n_components=n_comps)
     phase_ns["components"] = time.perf_counter_ns() - t_phase
-    if isinstance(start, (int, np.integer)):
-        if len(comps) != 1:
-            raise ValueError(
-                "explicit start node requires a connected matrix; "
-                f"found {len(comps)} components"
-            )
+    if isinstance(start, (int, np.integer)) and n_comps != 1:
+        raise ValidationError(
+            "explicit start node requires a connected matrix; "
+            f"found {n_comps} components"
+        )
 
     # auto-resolution sits after component discovery so the cost models see
     # the real (n, nnz, n_components) shape — including the largest
     # component, which bounds how much a pool dispatch can actually win
     auto_estimates: Optional[Dict[str, float]] = None
-    max_component = max((int(c.size) for c in comps), default=0)
+    max_component = max(sizes, default=0)
     if method == "auto":
         auto_estimates = backends.auto_estimates(
-            work.n, work.nnz, len(comps),
+            work.n, work.nnz, n_comps,
             max_component=max_component or None,
         )
         method = min(auto_estimates, key=auto_estimates.__getitem__)
     backend = backends.get(method)
 
-    starts: List[int] = []
-    sizes: List[int] = []
     t_phase = time.perf_counter_ns()
     with tel.span("start-selection", category="api"):
-        for members in comps:
-            if isinstance(start, (int, np.integer)):
-                starts.append(int(start))
-            else:
-                starts.append(
-                    _pick_start(
-                        work, members, start, prefer_hub=plan is not None
-                    )
-                )
-            sizes.append(int(members.size))
+        if isinstance(start, (int, np.integer)):
+            starts = [int(start)]
+        else:
+            starts = _pick_starts(
+                work, labels, n_comps, start, prefer_hub=plan is not None
+            )
     phase_ns["start-selection"] = time.perf_counter_ns() - t_phase
 
     perm_parts: List[np.ndarray] = []
@@ -338,7 +309,7 @@ def _reorder_rcm(
         from repro.matrices.scenarios import classify
 
         flight.record_auto(
-            n=mat.n, nnz=mat.nnz, n_components=len(comps),
+            n=mat.n, nnz=mat.nnz, n_components=n_comps,
             estimates=auto_estimates, chosen=method,
             actual_wall_ms=phase_ns["ordering"] / 1e6,
             max_component=max_component or None,
@@ -356,7 +327,6 @@ def _reorder_rcm(
             # compose the hub-first relabeling back: the permutation the
             # caller receives indexes the original matrix
             perm = plan.relabel[perm]
-        init_bw = bandwidth(mat) if _initial_bw is None else int(_initial_bw)
         reord_bw = bandwidth_after(mat, perm)
         if tel.enabled:
             # per-request quality deltas: how much this request actually

@@ -45,7 +45,9 @@ calling :func:`reorder` per matrix.
 
 Errors: everything either entry point raises on purpose derives from
 :class:`repro.errors.ReproError` — :class:`repro.errors.ValidationError`
-(a ``ValueError``) for bad arguments, :class:`repro.errors.BackendUnavailableError`
+(a ``ValueError``) for bad arguments and malformed patterns (the message
+names the failed check: duplicate, unsorted or asymmetric; in a batch,
+also the matrix's index), :class:`repro.errors.BackendUnavailableError`
 for unknown methods; the service layer adds
 :class:`repro.errors.ServiceOverloadedError` /
 :class:`repro.errors.ServiceTimeoutError`.  See :mod:`repro.errors` for
@@ -61,10 +63,11 @@ from typing import Dict, List, Optional, Sequence, Union
 import numpy as np
 
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.bandwidth import bandwidth, bandwidth_after
-from repro.sparse.validate import validate_csr, is_structurally_symmetric
+from repro.sparse.bandwidth import bandwidth_after
 from repro import backends
-from repro.core.api import METHODS, PHASES, ReorderResult, _reorder_rcm
+from repro.core.api import (
+    METHODS, PHASES, ReorderResult, _reorder_rcm, _validate,
+)
 from repro.core.batches import BatchConfig
 from repro.errors import ValidationError
 from repro.validation import check_choice, check_min, check_start, choices_text
@@ -301,7 +304,10 @@ def reorder_many(
     * with ``cache=`` given (cache object or disk-tier path, sharded per
       ``shards`` exactly as in :func:`reorder`), hits are served per
       matrix up front (``phase_ns={"cache": <ns>}``) and only the misses
-      are dispatched; every computed result is cached on the way out.
+      are dispatched; every computed result is cached on the way out;
+    * a malformed pattern fails the call with a
+      :class:`~repro.errors.ValidationError` whose message starts with
+      ``matrix <i>:``, its index in ``mats``.
 
     Requests that need per-call machinery a grouped dispatch cannot carry
     (non-RCM algorithms, an explicit simulated-machine ``config``, a
@@ -347,9 +353,10 @@ def reorder_many(
 
         if pend:
             computed = _compute_many(
-                [mats[i] for i in pend], algorithm=algorithm, method=method,
-                start=start, n_workers=n_workers, config=config,
-                symmetrize=symmetrize, seed=seed, transform=transform,
+                [mats[i] for i in pend], pend, algorithm=algorithm,
+                method=method, start=start, n_workers=n_workers,
+                config=config, symmetrize=symmetrize, seed=seed,
+                transform=transform,
             )
             for i, res in zip(pend, computed):
                 results[i] = res
@@ -359,13 +366,18 @@ def reorder_many(
 
 
 def _compute_many(
-    mats: List[CSRMatrix], *, algorithm: str, method: str,
-    start: Union[int, str], n_workers: int, config, symmetrize: bool,
-    seed: int, transform: Optional[str] = None,
+    mats: List[CSRMatrix], positions: List[int], *, algorithm: str,
+    method: str, start: Union[int, str], n_workers: int, config,
+    symmetrize: bool, seed: int, transform: Optional[str] = None,
 ) -> List[ReorderResult]:
     """Grouped batch execution (no cache tier) — the one code path behind
     both :func:`reorder_many` and the service's batched admission, so the
-    two surfaces cannot drift apart."""
+    two surfaces cannot drift apart.
+
+    Every matrix is validated where it runs; a malformed one fails the
+    call with an error naming its ``positions`` entry (its index in the
+    caller's list).
+    """
     from repro.parallel import ParallelConfig, map_matrices
 
     one_by_one = (
@@ -373,11 +385,14 @@ def _compute_many(
         or transform is not None
     )
     if one_by_one:
+        # validated here as well as inside each call, so the error names
+        # the matrix's index
+        mats, _ = _validate(mats, symmetrize=symmetrize, positions=positions)
         return [
             reorder(
                 m, algorithm=algorithm, method=method, start=start,
-                n_workers=n_workers, config=config, symmetrize=symmetrize,
-                seed=seed, transform=transform,
+                n_workers=n_workers, config=config, seed=seed,
+                transform=transform,
             )
             for m in mats
         ]
@@ -407,12 +422,14 @@ def _compute_many(
                     results[i] = _reorder_rcm(
                         mats[i], method=resolved, start=start,
                         n_workers=n_workers, symmetrize=symmetrize,
+                        _position=positions[i],
                     )
             else:
                 out = map_matrices(
                     [mats[i] for i in idxs], method=resolved, start=start,
                     symmetrize=symmetrize,
                     config=ParallelConfig(n_workers=n_workers),
+                    _positions=[positions[i] for i in idxs],
                 )
                 for i, res in zip(idxs, out):
                     results[i] = res
@@ -427,15 +444,7 @@ def _reorder_direct(
     phase_ns = {p: 0 for p in PHASES}
 
     t_phase = time.perf_counter_ns()
-    with tel.span("validate", category="api", n=mat.n, nnz=mat.nnz):
-        if symmetrize:
-            mat = mat.symmetrize()
-        validate_csr(mat, require_sorted=True)
-        if not is_structurally_symmetric(mat):
-            raise ValueError(
-                "matrix pattern is not symmetric; pass symmetrize=True or "
-                "call CSRMatrix.symmetrize() first"
-            )
+    (mat,), bws = _validate([mat], symmetrize=symmetrize)
     phase_ns["validate"] = time.perf_counter_ns() - t_phase
 
     t_phase = time.perf_counter_ns()
@@ -445,7 +454,6 @@ def _reorder_direct(
 
     t_phase = time.perf_counter_ns()
     with tel.span("assembly", category="api"):
-        init_bw = bandwidth(mat)
         reord_bw = bandwidth_after(mat, perm)
     phase_ns["assembly"] = time.perf_counter_ns() - t_phase
 
@@ -454,7 +462,7 @@ def _reorder_direct(
         method="direct",
         start_nodes=[],
         component_sizes=[],
-        initial_bandwidth=init_bw,
+        initial_bandwidth=int(bws[0]),
         reordered_bandwidth=reord_bw,
         stats=[],
         phase_ns=phase_ns,

@@ -212,10 +212,11 @@ def _component_task(
 
 
 def _chunk_task(
-    items: Sequence[Tuple[shm.CSRHandle, int]],
+    items: Sequence[Tuple[shm.CSRHandle, int, int]],
     arena: shm.ArenaHandle, kwargs: dict, trace: Optional[Trace] = None,
 ):
-    """Run the full pipeline per matrix: ``(results, WorkerReport or None)``.
+    """Run the full pipeline per matrix: ``(results, WorkerReport or
+    None)``.  Each item is ``(handle, arena offset, batch position)``.
 
     Permutations go home via the arena, everything else (bandwidths,
     phases, stats) via the light perm-stripped result.
@@ -225,8 +226,10 @@ def _chunk_task(
     def body() -> list:
         out = shm.attach_arena(arena)
         results = []
-        for handle, offset in items:
-            res = _reorder_rcm(shm.attach_csr(handle), **kwargs)
+        for handle, offset, position in items:
+            res = _reorder_rcm(
+                shm.attach_csr(handle), _position=position, **kwargs
+            )
             out[offset:offset + handle.n] = res.permutation
             res.permutation = _SHM_RESIDENT
             results.append(res)
@@ -387,41 +390,38 @@ def map_matrices(
     start="min-valence",
     symmetrize: bool = False,
     config: Optional[ParallelConfig] = None,
+    _positions: Optional[Sequence[int]] = None,
 ) -> list:
     """Reorder many matrices through worker processes, chunked.
 
     The batch throughput path (CLI benches and the service's batched
     admission): each chunk of matrices runs the full
-    :func:`repro.core.api._reorder_rcm` pipeline in one worker, so per-task
-    IPC overhead is amortized over ``chunk_size`` matrices.  Returns one
+    :func:`repro.core.api._reorder_rcm` pipeline in one worker, validate
+    phase included, so per-task IPC overhead is amortized over
+    ``chunk_size`` matrices.  A malformed matrix fails the call with a
+    :class:`~repro.errors.ValidationError` naming its ``_positions``
+    entry (default: its index in ``mats``).  Returns one
     :class:`~repro.core.api.ReorderResult` per input matrix, in order.
 
     The whole batch is packed into one shared segment, workers attach
     zero-copy and write permutations into a shared arena; results come
     home perm-stripped and are rehydrated from the arena.
     """
-    from repro.core.api import _prevalidate_batch, _reorder_rcm
+    from repro.core.api import _reorder_rcm
 
+    if not mats:
+        return []
+    positions = list(range(len(mats)) if _positions is None else _positions)
     cfg = config or ParallelConfig()
     workers = resolve_workers(cfg.n_workers)
     kwargs = dict(method=method, start=start, symmetrize=symmetrize)
 
     def in_process(reason: str) -> list:
         record_fallback(reason)
-        if len(mats) > 1:
-            # batch-amortized validate phase: one vectorized pass over the
-            # block-diagonal union replaces len(mats) per-matrix passes
-            ms = [m.symmetrize() for m in mats] if symmetrize else list(mats)
-            bws = _prevalidate_batch(ms)
-            kw = dict(kwargs, symmetrize=False)
-            return [
-                _reorder_rcm(m, _initial_bw=int(b), **kw)
-                for m, b in zip(ms, bws)
-            ]
-        return [_reorder_rcm(m, **kwargs) for m in mats]
-
-    if not mats:
-        return []
+        return [
+            _reorder_rcm(m, _position=p, **kwargs)
+            for m, p in zip(mats, positions)
+        ]
     total_nodes = sum(m.n for m in mats)
     # effective parallelism is capped by physical cores: a 4-worker pool on
     # a 1-core host only adds dispatch overhead to CPU-bound batch work
@@ -437,20 +437,22 @@ def map_matrices(
 
     chunk = cfg.chunk_size or max(1, -(-len(mats) // (workers * 4)))
     try:
-        return _map_shm(mats, kwargs, chunk, workers)
+        return _map_shm(mats, positions, kwargs, chunk, workers)
     except _POOL_ERRORS:
         _discard_pool(workers)
         return in_process("pool-error")
 
 
-def _map_shm(mats, kwargs, chunk, workers):
+def _map_shm(mats, positions, kwargs, chunk, workers):
     tel = telemetry.get()
     pool = _get_pool(workers)
     offsets = _offsets([m.n for m in mats])
     with shm.ShmBatch() as batch:
         handles = batch.publish_many(mats)
         arena = batch.result_arena(int(offsets[-1]))
-        items = [(h, int(offsets[i])) for i, h in enumerate(handles)]
+        items = [
+            (h, int(offsets[i]), positions[i]) for i, h in enumerate(handles)
+        ]
         chunks = [items[i:i + chunk] for i in range(0, len(items), chunk)]
         trace = _trace_for(tel)
         with tel.span(

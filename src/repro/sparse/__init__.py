@@ -30,7 +30,7 @@ from repro.sparse.io import (
 )
 from repro.sparse.hb import read_harwell_boeing
 from repro.sparse.spy import spy, side_by_side
-from repro.sparse.validate import validate_csr, is_structurally_symmetric
+from repro.sparse.validate import check_batch, is_structurally_symmetric
 
 __all__ = [
     "CSRMatrix",
@@ -53,6 +53,6 @@ __all__ = [
     "read_harwell_boeing",
     "spy",
     "side_by_side",
-    "validate_csr",
+    "check_batch",
     "is_structurally_symmetric",
 ]

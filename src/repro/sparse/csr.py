@@ -19,6 +19,8 @@ from typing import Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.errors import ValidationError
+
 __all__ = ["CSRMatrix", "coo_to_csr"]
 
 ArrayLike = Union[Sequence[int], np.ndarray]
@@ -27,7 +29,9 @@ ArrayLike = Union[Sequence[int], np.ndarray]
 def _as_index_array(arr: ArrayLike, name: str) -> np.ndarray:
     out = np.asarray(arr)
     if out.ndim != 1:
-        raise ValueError(f"{name} must be one-dimensional, got shape {out.shape}")
+        raise ValidationError(
+            f"{name} must be one-dimensional, got shape {out.shape}"
+        )
     if out.size == 0:
         return np.zeros(0, dtype=np.int64)
     if not np.issubdtype(out.dtype, np.integer):
@@ -51,17 +55,19 @@ def coo_to_csr(
     rows = _as_index_array(rows, "rows")
     cols = _as_index_array(cols, "cols")
     if rows.shape != cols.shape:
-        raise ValueError("rows and cols must have the same length")
+        raise ValidationError("rows and cols must have the same length")
     if rows.size and (rows.min() < 0 or rows.max() >= n):
-        raise ValueError("row index out of range")
+        raise ValidationError("row index out of range")
     if cols.size and (cols.min() < 0 or cols.max() >= n):
-        raise ValueError("column index out of range")
+        raise ValidationError("column index out of range")
 
     values = None
     if data is not None:
         values = np.asarray(data, dtype=np.float64)
         if values.shape != rows.shape:
-            raise ValueError("data must have the same length as rows/cols")
+            raise ValidationError(
+                "data must have the same length as rows/cols"
+            )
 
     # Lexicographic sort by (row, col); then collapse duplicates.
     order = np.lexsort((cols, rows))
@@ -118,23 +124,24 @@ class CSRMatrix:
         if self.n < 0:
             self.n = int(self.indptr.size - 1)
         if self.indptr.size != self.n + 1:
-            raise ValueError(
-                f"indptr has length {self.indptr.size}, expected n+1={self.n + 1}"
+            raise ValidationError(
+                f"indptr has length {self.indptr.size}, "
+                f"expected n+1={self.n + 1}"
             )
         if self.indptr[0] != 0:
-            raise ValueError("indptr[0] must be 0")
+            raise ValidationError("indptr[0] must be 0")
         if int(self.indptr[-1]) != self.indices.size:
-            raise ValueError("indptr[-1] must equal len(indices)")
+            raise ValidationError("indptr[-1] must equal len(indices)")
         if np.any(np.diff(self.indptr) < 0):
-            raise ValueError("indptr must be non-decreasing")
+            raise ValidationError("indptr must be non-decreasing")
         if self.indices.size and (
             self.indices.min() < 0 or self.indices.max() >= self.n
         ):
-            raise ValueError("column index out of range")
+            raise ValidationError("column index out of range")
         if self.data is not None:
             self.data = np.asarray(self.data, dtype=np.float64)
             if self.data.size != self.indices.size:
-                raise ValueError("data must have nnz entries")
+                raise ValidationError("data must have nnz entries")
 
     # ------------------------------------------------------------------
     # basic properties

@@ -103,28 +103,28 @@ def level_structure(mat: CSRMatrix, start: int) -> List[np.ndarray]:
 def connected_components(mat: CSRMatrix) -> Tuple[int, np.ndarray]:
     """Connected components of the undirected graph view.
 
-    Returns ``(count, labels)`` with labels in component-discovery order
-    (component 0 contains node 0).  The matrix is assumed structurally
-    symmetric; use :meth:`CSRMatrix.symmetrize` first otherwise.
+    Returns ``(count, labels)``, the labels ranked by each component's
+    smallest node: component 0 contains node 0, component 1 the smallest
+    node outside it, and so on.  An entry in either direction connects
+    its two nodes.  One compiled labeling
+    (``scipy.sparse.csgraph.connected_components``); ``scipy.sparse`` is
+    imported on the first call, so ``import repro`` does not load it.
     """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components as label
+
     n = mat.n
-    labels = np.full(n, -1, dtype=np.int64)
-    comp = 0
-    for seed in range(n):
-        if labels[seed] >= 0:
-            continue
-        # BFS flood fill from seed
-        stack = [seed]
-        labels[seed] = comp
-        indptr, indices = mat.indptr, mat.indices
-        while stack:
-            p = stack.pop()
-            for nb in indices[indptr[p] : indptr[p + 1]]:
-                if labels[nb] < 0:
-                    labels[nb] = comp
-                    stack.append(int(nb))
-        comp += 1
-    return comp, labels
+    if n == 0:
+        return 0, np.zeros(0, dtype=np.int64)
+    graph = csr_matrix(
+        (np.ones(mat.nnz), mat.indices, mat.indptr), shape=(n, n)
+    )
+    count, found = label(graph, directed=False)
+    smallest = np.full(count, n, dtype=np.int64)
+    np.minimum.at(smallest, found, np.arange(n, dtype=np.int64))
+    rank = np.empty(count, dtype=np.int64)
+    rank[np.argsort(smallest)] = np.arange(count, dtype=np.int64)
+    return int(count), rank[found]
 
 
 def component_of(mat: CSRMatrix, node: int) -> np.ndarray:

@@ -1,129 +1,115 @@
-"""Structural validation of CSR matrices and permutations.
+"""Structural validation of CSR patterns and permutations.
 
-RCM requires a structurally symmetric pattern (undirected graph).  These
-checks are used by the public API to fail fast with clear messages, and by
-the test-suite as reusable assertions.
+RCM requires a structurally symmetric pattern (undirected graph) whose rows
+list their columns in strictly increasing order.  :func:`check_batch` is the
+one validate pass of every pipeline entry point — a single matrix is a batch
+of one — and fails with a :class:`~repro.errors.ValidationError` naming the
+check that failed.  Both checks compare *entry keys* ``row * n + col``: one
+int64 per stored entry that orders the entries row-major.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+import math
+from typing import Optional, Sequence
 
 import numpy as np
 
+from repro.errors import ValidationError
+from repro.sparse.bandwidth import _row_of
 from repro.sparse.csr import CSRMatrix
 
 __all__ = [
-    "validate_csr",
+    "check_batch",
     "is_structurally_symmetric",
     "assert_permutation",
-    "has_duplicates",
-    "check_batch",
+    "DUPLICATE",
+    "UNSORTED",
+    "ASYMMETRIC",
 ]
 
+#: what :func:`check_batch` raises with, by failed check
+DUPLICATE = "CSR contains duplicate entries; rebuild via coo_to_csr"
+UNSORTED = "CSR indices must be sorted within each row; call sort_indices()"
+ASYMMETRIC = (
+    "matrix pattern is not symmetric; pass symmetrize=True or call "
+    "CSRMatrix.symmetrize() first"
+)
 
-def has_duplicates(mat: CSRMatrix) -> bool:
-    """True when any row stores the same column more than once."""
-    if mat.nnz < 2:
-        return False
-    row_of = np.repeat(np.arange(mat.n, dtype=np.int64), np.diff(mat.indptr))
-    order = np.lexsort((mat.indices, row_of))
-    r = row_of[order]
-    c = mat.indices[order]
-    return bool(np.any((r[1:] == r[:-1]) & (c[1:] == c[:-1])))
-
-
-def is_structurally_symmetric(mat: CSRMatrix) -> bool:
-    """True when the pattern equals its transpose."""
-    t = mat.transpose().sort_indices()
-    m = mat.sort_indices()
-    return (
-        np.array_equal(m.indptr, t.indptr)
-        and np.array_equal(m.indices, t.indices)
-    )
+#: largest node count ``n`` whose entry keys ``row * n + col`` fit in int64
+MAX_KEYED_N = math.isqrt(np.iinfo(np.int64).max)
 
 
-def check_batch(mats) -> Optional[np.ndarray]:
-    """One vectorized validity pass over a whole batch of patterns.
+def _entry_keys(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
+    if n > MAX_KEYED_N:
+        raise ValidationError(
+            f"{n} nodes overflow the int64 entry keys (at most {MAX_KEYED_N})"
+        )
+    return rows * n + cols
 
-    Concatenates the batch into its block-diagonal union and checks — in a
-    fixed number of NumPy passes, independent of ``len(mats)`` — exactly
-    what the per-matrix path checks: indices sorted within rows, no
-    duplicate entries, structural symmetry.  A block-diagonal pattern is
-    symmetric iff every block is, so a single transpose comparison covers
-    the batch; the same pass yields each matrix's initial bandwidth
-    (``max |i - j|``, offsets cancel within a block).
 
-    Returns the per-matrix initial bandwidths on success, or ``None`` when
-    any matrix fails any check — callers rerun the per-matrix checks to
-    raise the precise error for the offending matrix.
+def _bandwidth_if_valid(mat: CSRMatrix) -> int:
+    """The validate pass of one pattern; its bandwidth when it passes."""
+    if mat.nnz == 0:
+        return 0
+    rows = _row_of(mat)
+    keys = _entry_keys(rows, mat.indices, mat.n)
+    if np.any(keys[1:] <= keys[:-1]):
+        raise ValidationError(
+            DUPLICATE if np.unique(keys).size < keys.size else UNSORTED
+        )
+    mirrored = _entry_keys(mat.indices, rows, mat.n)
+    mirrored.sort()
+    if not np.array_equal(mirrored, keys):
+        raise ValidationError(ASYMMETRIC)
+    return int(np.abs(rows - mat.indices).max())
+
+
+def check_batch(
+    mats: Sequence[CSRMatrix], positions: Optional[Sequence[int]] = None
+) -> np.ndarray:
+    """Validate patterns in order; return their initial bandwidths.
+
+    One pass per pattern over its entry keys ``row * n + col``:
+
+    * every row's columns strictly increase (sorted, no duplicates) iff
+      the keys strictly increase;
+    * the pattern is symmetric iff ``np.sort(col * n + row)`` equals
+      those already ascending keys.
+
+    The same pass yields the initial bandwidth ``max |i - j|``, returned
+    per pattern as an int64 array.  A single matrix is a batch of one.
+
+    Raises :class:`~repro.errors.ValidationError` with :data:`DUPLICATE`,
+    :data:`UNSORTED` or :data:`ASYMMETRIC` for the first malformed
+    pattern; rows that are both unsorted and duplicated report the
+    duplicate.  For a batch of more than one matrix, or when ``positions``
+    is given, the message starts with ``matrix <i>:``, the offending
+    matrix's ``positions`` entry (default: its index).
     """
-    k = len(mats)
-    if k == 0:
-        return np.zeros(0, dtype=np.int64)
-    ns = np.fromiter((m.n for m in mats), dtype=np.int64, count=k)
-    nnzs = np.fromiter((m.nnz for m in mats), dtype=np.int64, count=k)
-    node_off = np.zeros(k + 1, dtype=np.int64)
-    np.cumsum(ns, out=node_off[1:])
-    nnz_off = np.zeros(k + 1, dtype=np.int64)
-    np.cumsum(nnzs, out=nnz_off[1:])
-    total_n = int(node_off[-1])
-    if int(nnz_off[-1]) == 0:
-        return np.zeros(k, dtype=np.int64)
-
-    cols = np.concatenate(
-        [m.indices + node_off[i] for i, m in enumerate(mats)]
-    )
-    degrees = np.concatenate([np.diff(m.indptr) for m in mats])
-    rows = np.repeat(np.arange(total_n, dtype=np.int64), degrees)
-
-    # sortedness + duplicates: within a (globally offset) row, consecutive
-    # columns must be strictly increasing
-    same_row = rows[1:] == rows[:-1]
-    if np.any(same_row & (np.diff(cols) <= 0)):
-        return None
-
-    # symmetry: the block-diagonal union equals its transpose.  The stable
-    # argsort groups by column with rows ascending inside each group, so
-    # the transpose comes out row-sorted and compares directly.
-    order = np.argsort(cols, kind="stable")
-    t_counts = np.bincount(cols, minlength=total_n)
-    if not (
-        np.array_equal(t_counts, np.bincount(rows, minlength=total_n))
-        and np.array_equal(rows[order], cols)
-    ):
-        return None
-
-    widths = np.abs(rows - cols)
-    bws = np.zeros(k, dtype=np.int64)
-    nonempty = nnzs > 0
-    if np.any(nonempty):
-        bws[nonempty] = np.maximum.reduceat(widths, nnz_off[:-1][nonempty])
+    bws = np.zeros(len(mats), dtype=np.int64)
+    for i, mat in enumerate(mats):
+        try:
+            bws[i] = _bandwidth_if_valid(mat)
+        except ValidationError as exc:
+            if positions is None and len(mats) == 1:
+                raise
+            where = i if positions is None else positions[i]
+            raise ValidationError(f"matrix {where}: {exc}") from None
     return bws
 
 
-def validate_csr(
-    mat: CSRMatrix,
-    *,
-    require_symmetric: bool = False,
-    require_sorted: bool = True,
-) -> None:
-    """Raise ``ValueError`` when the matrix violates structural requirements.
+def is_structurally_symmetric(mat: CSRMatrix) -> bool:
+    """True when the pattern equals its transpose, rows in any order.
 
-    Construction of :class:`CSRMatrix` already checks shape consistency;
-    this adds duplicate, sortedness and symmetry checks used at the RCM API
-    boundary.
+    Compares the sorted entry keys with the sorted transposed keys, so a
+    duplicated entry must be duplicated on both sides.
     """
-    if has_duplicates(mat):
-        raise ValueError("CSR contains duplicate entries; rebuild via coo_to_csr")
-    if require_sorted and not mat.has_sorted_indices():
-        raise ValueError(
-            "CSR indices must be sorted within each row; call sort_indices()"
-        )
-    if require_symmetric and not is_structurally_symmetric(mat):
-        raise ValueError(
-            "matrix pattern is not symmetric; call symmetrize() before RCM"
-        )
+    rows = _row_of(mat)
+    return np.array_equal(
+        np.sort(_entry_keys(rows, mat.indices, mat.n)),
+        np.sort(_entry_keys(mat.indices, rows, mat.n)),
+    )
 
 
 def assert_permutation(perm: np.ndarray, n: Optional[int] = None) -> None:

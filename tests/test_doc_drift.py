@@ -199,6 +199,17 @@ class TestProseDocs:
                 "'Migrating from the old entry points' sections"
             )
 
+    def test_api_md_lists_every_validation_message(self):
+        from repro.sparse import validate
+
+        text = (DOCS / "api.md").read_text()
+        for message in (
+            validate.DUPLICATE, validate.UNSORTED, validate.ASYMMETRIC,
+        ):
+            assert message in text, (
+                f"docs/api.md missing {message!r}; see 'Malformed patterns'"
+            )
+
     def test_api_md_batch_defaults_match_code(self):
         # the documented admission defaults are the ServiceConfig defaults
         from repro.service import ServiceConfig

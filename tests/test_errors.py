@@ -3,6 +3,7 @@ historical import paths that must keep resolving."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 import repro
@@ -67,6 +68,67 @@ class TestRaisedAtBoundaries:
             reverse_cuthill_mckee(small_grid)
         with pytest.raises(errors.RemovedAPIError):
             order(small_grid, "rcm")
+
+
+def _defective(defect: str):
+    """The path 0-1-2-3 with one defect in its pattern."""
+    from repro.sparse.csr import CSRMatrix
+
+    rows = {
+        "duplicate": [[1], [0, 0, 2], [1, 3], [2]],
+        "unsorted": [[1], [2, 0], [1, 3], [2]],
+        "asymmetric": [[1, 3], [0, 2], [1, 3], [2]],
+    }[defect]
+    return CSRMatrix(
+        indptr=np.cumsum([0] + [len(r) for r in rows]),
+        indices=np.concatenate(rows), n=4,
+    )
+
+
+def _service_reorder(mat):
+    from repro.service import ReorderService
+
+    with ReorderService() as svc:
+        return svc.reorder(mat)
+
+
+class TestMalformedPatterns:
+    """Every entry point rejects a malformed pattern with one typed error
+    whose message names the failed check (and, in a batch, the index)."""
+
+    @pytest.mark.parametrize("defect", ["duplicate", "unsorted", "asymmetric"])
+    @pytest.mark.parametrize("entry", ["reorder", "reorder_many", "service"])
+    def test_defect_raises_validation_error(self, defect, entry, path5):
+        from repro.sparse import validate
+
+        expected = {
+            "duplicate": validate.DUPLICATE,
+            "unsorted": validate.UNSORTED,
+            "asymmetric": validate.ASYMMETRIC,
+        }[defect]
+        bad = _defective(defect)
+        call = {
+            "reorder": lambda: repro.reorder(bad),
+            "reorder_many": lambda: repro.reorder_many([path5, path5, bad]),
+            "service": lambda: _service_reorder(bad),
+        }[entry]
+        with pytest.raises(errors.ValidationError) as info:
+            call()
+        if entry == "reorder_many":
+            expected = f"matrix 2: {expected}"
+        assert str(info.value) == expected
+
+    def test_csr_constructor_raises_validation_error(self):
+        from repro.sparse.csr import CSRMatrix
+
+        with pytest.raises(errors.ValidationError, match="out of range"):
+            CSRMatrix(indptr=np.array([0, 1]), indices=np.array([5]), n=1)
+        with pytest.raises(errors.ValidationError, match="indptr"):
+            CSRMatrix(indptr=np.array([0, 2]), indices=np.array([0]), n=1)
+
+    def test_explicit_start_needs_a_connected_matrix(self, two_triangles):
+        with pytest.raises(errors.ValidationError, match="connected"):
+            repro.reorder(two_triangles, start=0)
 
 
 class TestHistoricalImportPaths:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.sparse.validate import is_structurally_symmetric, has_duplicates
+from repro.sparse.validate import check_batch, is_structurally_symmetric
 from repro.sparse.graph import connected_components, front_statistics
 from repro.matrices import generators as g
 from repro.matrices.kkt import kkt_system, nlpkkt_like
@@ -15,7 +15,7 @@ def check_clean(mat):
     no duplicates."""
     assert is_structurally_symmetric(mat)
     assert mat.has_sorted_indices()
-    assert not has_duplicates(mat)
+    check_batch([mat])  # raises on duplicates
     row_of = np.repeat(np.arange(mat.n), np.diff(mat.indptr))
     assert not np.any(row_of == mat.indices), "self loop found"
 

@@ -214,12 +214,11 @@ class TestTransformSemantics:
     def test_transform_shallows_giant_component(self, name):
         """The acceptance criterion: hub-first relabeling + hub start must
         strictly reduce the giant component's BFS level count."""
-        from repro.core.api import _components_by_min_node
-        from repro.sparse.graph import bfs_levels
+        from repro.sparse.graph import bfs_levels, connected_components
 
         def giant_levels(mat, pick):
-            comps = _components_by_min_node(mat)
-            giant = max(comps, key=len)
+            _, labels = connected_components(mat)
+            giant = np.flatnonzero(labels == np.argmax(np.bincount(labels)))
             valence = np.diff(mat.indptr)
             start = int(giant[pick(valence[giant])])
             return int(bfs_levels(mat, start)[giant].max()) + 1

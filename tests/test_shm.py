@@ -192,14 +192,12 @@ class TestNoPickle:
             cfg = ParallelConfig(n_workers=2, force_processes=True)
             results = map_matrices(mats, method="vectorized", config=cfg)
 
-            starts = [0] * 3
-            sizes = None
             mat = g.grid2d(48, 48)
-            from repro.core.api import _components_by_min_node
+            from repro.sparse.graph import connected_components
 
-            comps = _components_by_min_node(mat)
-            starts = [int(c[0]) for c in comps]
-            sizes = [int(c.size) for c in comps]
+            _, labels = connected_components(mat)
+            starts = np.unique(labels, return_index=True)[1].tolist()
+            sizes = np.bincount(labels).tolist()
             parts = rcm_components(mat, starts, sizes=sizes, config=cfg)
         finally:
             ForkingPickler._extra_reducers.pop(np.ndarray, None)
