@@ -79,11 +79,6 @@ def _family_rows() -> dict:
                 mat.permute_symmetric(plan.relabel), hub_start=True
             )
 
-        # one auto pick per scenario feeds the session flight recorder a
-        # scenario-tagged record, so the nightly calibrate step can report
-        # the mispick rate per family
-        auto = reorder(mat, method="auto")
-
         row = rows.get(spec.family)
         if row is None or reduction < row["bandwidth_reduction"]:
             rows[spec.family] = {
@@ -93,7 +88,6 @@ def _family_rows() -> dict:
                 "levels_plain": levels_plain,
                 "levels_transformed": levels_transformed,
                 "transform_applied": plan is not None,
-                "auto_choice": auto.method,
                 "n": mat.n,
                 "nnz": mat.nnz,
             }

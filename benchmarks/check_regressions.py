@@ -48,13 +48,6 @@ slack) and therefore always enforced:
   clear its per-family bandwidth-reduction floors, and the power-law
   transformation must reduce the BFS level count on the heavy-tailed
   families — structural permutation facts, no wall clock involved.
-
-When a flight-recorder file is present (``<results-dir>/flight.jsonl`` or
-``--flight``), the ``method="auto"`` cost model is additionally gated: a
-calibrated mispick rate above ``--max-mispick-rate`` (default 0.25) —
-overall or on any scenario family with enough picks — is reported as a
-problem (warning-level under ``--warn-only`` — close calls flip under
-scheduler noise).
 """
 
 from __future__ import annotations
@@ -251,59 +244,6 @@ def check_speedup_invariant(results: dict, min_speedup: float) -> list:
     return problems
 
 
-def check_flight_mispick(flight_path: Path, max_rate: float) -> list:
-    """The auto cost-model mispick gate over a flight-recorder file.
-
-    Uses :func:`repro.telemetry.flight.calibrate` when the package is
-    importable (benchmarks run with ``PYTHONPATH=src``); silently passes
-    when the flight file is absent — recording is opt-in.
-    """
-    if not flight_path.exists():
-        return []
-    try:
-        from repro.telemetry import flight
-    except ImportError:
-        print(f"warning: {flight_path} present but repro is not importable; "
-              "skipping mispick check")
-        return []
-    records = flight.read_records(flight_path)
-    if not records:
-        return []
-    report = flight.calibrate(records)
-    print(f"\nflight recorder: {report['records']} auto resolutions, "
-          f"mispick rate {report['mispick_rate']:.1%} "
-          f"(threshold {max_rate:.1%})")
-    problems = []
-    if report["mispick_rate"] > max_rate:
-        worst = {
-            b: s["mispick_rate"] for b, s in report["backends"].items()
-            if s["mispicks"]
-        }
-        problems.append(
-            f"auto cost-model mispick rate {report['mispick_rate']:.1%} "
-            f"exceeds {max_rate:.1%} over {report['records']} resolutions "
-            f"(per-backend: {worst})"
-        )
-    # the per-scenario breakdown catches a cost model that is well
-    # calibrated on meshes but systematically wrong on one hostile family
-    # — an error the aggregate rate dilutes away
-    scenarios = report.get("scenarios", {})
-    if scenarios:
-        shown = ", ".join(
-            f"{fam}: {s['mispicks']}/{s['picks']}"
-            for fam, s in sorted(scenarios.items())
-        )
-        print(f"per-scenario mispicks: {shown}")
-    for fam, s in sorted(scenarios.items()):
-        if s["picks"] >= 4 and s["mispick_rate"] > max_rate:
-            problems.append(
-                f"auto mispick rate on {fam!r} scenarios is "
-                f"{s['mispick_rate']:.1%} ({s['mispicks']}/{s['picks']}) — "
-                f"exceeds {max_rate:.1%}"
-            )
-    return problems
-
-
 def check_scenario_floors(results: dict) -> list:
     """Per-family structural floors from the scenario-matrix artifact.
 
@@ -405,13 +345,6 @@ def main(argv=None) -> int:
     parser.add_argument("--max-warm-slowdown", type=float, default=0.5,
                         help="allowed fractional drop of warm_requests_per_s "
                              "below its committed baseline before failing")
-    parser.add_argument("--flight", type=Path, default=None,
-                        metavar="FLIGHT.jsonl",
-                        help="flight-recorder file to gate on (default: "
-                             "<results-dir>/flight.jsonl when present)")
-    parser.add_argument("--max-mispick-rate", type=float, default=0.25,
-                        help="allowed auto cost-model mispick fraction "
-                             "before the flight gate fails")
     parser.add_argument("--warn-only", action="store_true",
                         help="report wall-clock regressions without failing "
                              "(enforced globs and ratio invariants still fail)")
@@ -484,12 +417,6 @@ def main(argv=None) -> int:
     enforced += check_profiler_overhead(results,
                                         args.max_profiler_overhead_pct)
     enforced += check_scenario_floors(results)
-    flight_path = args.flight or (args.results_dir / "flight.jsonl")
-    mispick_problems = check_flight_mispick(flight_path,
-                                            args.max_mispick_rate)
-    # scheduling noise can flip close calls, so the flight gate warns
-    # under --warn-only rather than failing outright
-    warnings += mispick_problems
 
     for msg in warnings:
         print(f"\nPROBLEM: {msg}")

@@ -13,9 +13,7 @@ that ``repro telemetry ingest`` folds into the run-history store and that
 when the benchmark body raises: matrix/method (when parametrized), wall
 milliseconds, wall-clock phase breakdown and the full telemetry counter
 snapshot, plus provenance (``schema_version``, ISO ``timestamp``,
-``hostname``, host info, git SHA).  A session-scoped flight recorder
-captures every ``method="auto"`` resolution to
-``benchmarks/results/flight.jsonl`` for ``repro telemetry calibrate``.
+``hostname``, host info, git SHA).
 """
 
 from __future__ import annotations
@@ -30,7 +28,6 @@ from pathlib import Path
 import pytest
 
 from repro import telemetry
-from repro.telemetry import flight
 from repro.telemetry.events import SCHEMA, git_sha, host_info
 
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -49,14 +46,6 @@ _METHOD_KEYS = ("method", "approach", "variant", "kernel")
 def results_dir() -> Path:
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     return RESULTS_DIR
-
-
-@pytest.fixture(scope="session", autouse=True)
-def flight_recorder(results_dir) -> None:
-    """Record every auto resolution of the bench session for calibration."""
-    flight.configure(results_dir / "flight.jsonl")
-    yield
-    flight.disable_recording()
 
 
 def _bench_name(nodeid: str) -> str:

@@ -1,13 +1,15 @@
 """Execution-backend registry for RCM methods.
 
 Importing this package registers the built-in backends; every
-method-string surface in the library (dispatch, ``method="auto"``,
-degradation chains, CLI choices, cache keys, docs) resolves through it.
+method-string surface in the library (dispatch, degradation chains, CLI
+choices, cache keys, docs) resolves through it, and ``method="auto"``
+resolves to :data:`AUTO_METHOD`.
 See :mod:`repro.backends.base` for the model and
 :mod:`repro.backends.builtin` for the built-in registrations.
 """
 
 from repro.backends.base import (
+    AUTO_METHOD,
     KINDS,
     KIND_OS_THREADS,
     KIND_PROCESS,
@@ -22,11 +24,9 @@ from repro.backends.base import (
     get,
     in_process_fallback,
     is_registered,
-    auto_estimates,
     method_choices,
     names,
     register,
-    resolve_auto_method,
     unregister,
 )
 from repro.backends import builtin as _builtin  # noqa: F401  (registers)
@@ -38,6 +38,7 @@ __all__ = [
     "KIND_SIMULATED",
     "KIND_OS_THREADS",
     "KIND_PROCESS",
+    "AUTO_METHOD",
     "Backend",
     "register",
     "unregister",
@@ -46,8 +47,6 @@ __all__ = [
     "names",
     "backends",
     "method_choices",
-    "auto_estimates",
-    "resolve_auto_method",
     "degradation_order",
     "in_process_fallback",
     "capability_rows",

@@ -6,22 +6,25 @@ identical serial permutation (the paper's headline invariant).  That makes
 *which* backend runs a pure quality-of-service decision, and this module
 turns that decision into data: each method registers a :class:`Backend`
 carrying its run callable plus capability metadata (kind, which options it
-honors, whether it emits :class:`~repro.machine.stats.RunStats`, a
-``cost_estimate`` hook).  Everything that used to hard-code method names —
-the ``core/api.py`` dispatch chain, ``method="auto"`` resolution, the
-service and process-pool degradation chains, the CLI ``choices``, the cache
-key canonicalization, the ``docs/api.md`` table — derives from this registry
-instead, so adding a ninth backend is one ``register()`` call.
+honors, whether it emits :class:`~repro.machine.stats.RunStats`).
+Everything that used to hard-code method names — the ``core/api.py``
+dispatch chain, the service and process-pool degradation chains, the CLI
+``choices``, the cache key canonicalization, the ``docs/api.md`` table —
+derives from this registry instead, so adding a ninth backend is one
+``register()`` call.
+
+``method="auto"`` is a rule, not a selector: it always runs
+:data:`AUTO_METHOD`.  Every backend returns the same permutation, so
+``auto`` only decides speed; ``docs/api.md`` records the measurements
+behind the rule.
 
 Registration order is meaningful: it is the order methods are listed in
-choices, error messages and docs, and the tie-break order of the
-cost-model auto-selector.
+choices, error messages and docs.
 """
 
 from __future__ import annotations
 
-import inspect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import BackendUnavailableError
@@ -34,6 +37,7 @@ __all__ = [
     "KIND_OS_THREADS",
     "KIND_PROCESS",
     "KINDS",
+    "AUTO_METHOD",
     "Backend",
     "register",
     "unregister",
@@ -42,8 +46,6 @@ __all__ = [
     "names",
     "backends",
     "method_choices",
-    "auto_estimates",
-    "resolve_auto_method",
     "degradation_order",
     "in_process_fallback",
     "capability_rows",
@@ -64,6 +66,9 @@ KINDS = (
     KIND_PROCESS,
 )
 
+#: the backend ``method="auto"`` runs, for every pattern and batch size
+AUTO_METHOD = "vectorized"
+
 
 @dataclass(frozen=True)
 class Backend:
@@ -83,17 +88,10 @@ class Backend:
     The capability flags describe which request options the backend
     actually reads — the pipeline passes everything either way, but the
     flags drive the generated capability table, the degradation chains and
-    cache-key documentation.  ``cost_estimate(n, nnz, n_components)``
-    returns estimated cycles for the auto-selector; backends without one
-    (``auto_candidate=False``) are never auto-picked.  ``setup_cycles``
-    names the one-time dispatch setup portion *inside* that estimate (pool
-    fork + warm-up for the process backend, zero for in-process backends):
-    when a batch of ``k`` requests shares one dispatch, the setup is paid
-    once, so :meth:`estimate` amortizes it to ``setup_cycles / k`` — which
-    is how ``auto`` can pick differently for a 64-matrix batch than for a
-    singleton.  ``fallback_rank`` orders the declarative degradation
-    chain: backends with a rank are appended (ascending) to every chain;
-    ``None`` means the backend never serves as a degradation target.
+    cache-key documentation.  ``fallback_rank`` orders the declarative
+    degradation chain: backends with a rank are appended (ascending) to
+    every chain; ``None`` means the backend never serves as a degradation
+    target.
     """
 
     name: str
@@ -105,12 +103,7 @@ class Backend:
     honors_config: bool = False
     honors_seed: bool = False
     emits_stats: bool = False
-    auto_candidate: bool = False
     fallback_rank: Optional[int] = None
-    cost_estimate: Optional[Callable[[int, int, int], float]] = field(
-        default=None, repr=False
-    )
-    setup_cycles: float = 0.0
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
@@ -123,57 +116,6 @@ class Backend:
                 f"backend {self.name!r} must set exactly one of "
                 "run_component / run_matrix"
             )
-        if self.auto_candidate and self.cost_estimate is None:
-            raise ValueError(
-                f"auto candidate {self.name!r} needs a cost_estimate hook"
-            )
-        # which cost hooks opt into the component-shape term: accepting a
-        # ``max_component`` keyword is the opt-in (detected once here, so
-        # estimate() stays signature-agnostic per call)
-        accepts = False
-        if self.cost_estimate is not None:
-            try:
-                accepts = "max_component" in inspect.signature(
-                    self.cost_estimate
-                ).parameters
-            except (TypeError, ValueError):  # pragma: no cover - C callables
-                accepts = False
-        object.__setattr__(self, "_accepts_max_component", accepts)
-
-    def estimate(
-        self, n: int, nnz: int, n_components: int = 1, batch: int = 1,
-        max_component: Optional[int] = None,
-    ) -> float:
-        """Estimated cycles on an ``(n, nnz, n_components)`` pattern
-        (``inf`` when the backend declares no cost model).
-
-        ``batch`` is the number of same-shaped requests sharing one
-        dispatch: the ``setup_cycles`` portion of the estimate is charged
-        once per dispatch, so the per-request price becomes
-        ``cost - setup_cycles + setup_cycles / batch``.
-
-        ``max_component`` is the size of the largest connected component,
-        when the caller knows it: component *shape* bounds the parallel
-        speedup (a hub pattern splitting into one giant component plus
-        pendant fragments parallelizes like a connected pattern, not like
-        an even ``n_components``-way split).  Cost hooks opt in by
-        accepting a ``max_component`` keyword; hooks that do not are
-        called exactly as before.
-        """
-        if self.cost_estimate is None:
-            return float("inf")
-        if max_component is not None and getattr(
-            self, "_accepts_max_component", False
-        ):
-            cost = float(self.cost_estimate(
-                n, nnz, max(n_components, 1), max_component=max_component
-            ))
-        else:
-            cost = float(self.cost_estimate(n, nnz, max(n_components, 1)))
-        batch = max(int(batch), 1)
-        if batch > 1 and self.setup_cycles:
-            cost = cost - self.setup_cycles + self.setup_cycles / batch
-        return cost
 
     def capabilities(self) -> dict:
         """JSON-serializable capability row (``repro backends --json``)."""
@@ -184,7 +126,6 @@ class Backend:
             "config": self.honors_config,
             "seed": self.honors_seed,
             "stats": self.emits_stats,
-            "auto_candidate": self.auto_candidate,
             "fallback_rank": self.fallback_rank,
             "summary": self.summary,
         }
@@ -248,56 +189,6 @@ def backends() -> Tuple[Backend, ...]:
 def method_choices() -> Tuple[str, ...]:
     """What a ``method=`` argument may be: ``"auto"`` plus every backend."""
     return ("auto",) + names()
-
-
-def auto_estimates(
-    n: int, nnz: Optional[int] = None, n_components: int = 1,
-    batch: int = 1, max_component: Optional[int] = None,
-) -> Dict[str, float]:
-    """Every auto candidate's cost estimate for a pattern, by method name.
-
-    The full pricing table behind one ``auto`` resolution — what the
-    flight recorder persists so ``repro telemetry calibrate`` can judge
-    the pick against the measured wall time.  Insertion order is
-    registration order (the tie-break order).  ``nnz=None`` assumes an
-    average valence of 4 — the mesh-like prior of the paper's test set —
-    for callers that only know the node count.  ``batch`` is the number of
-    requests sharing one dispatch: each backend amortizes its
-    ``setup_cycles`` across the batch (see :meth:`Backend.estimate`), so a
-    batch of 64 can price the process pool below the in-process kernels
-    where a singleton would not.  ``max_component`` (largest component
-    size, when known) feeds the component-shape term of backends that
-    opted in — see :meth:`Backend.estimate`.
-    """
-    if nnz is None:
-        nnz = 4 * n
-    estimates = {
-        b.name: b.estimate(n, nnz, n_components, batch, max_component)
-        for b in _REGISTRY.values() if b.auto_candidate
-    }
-    if not estimates:
-        raise BackendUnavailableError(
-            "no auto-candidate backends are registered"
-        )
-    return estimates
-
-
-def resolve_auto_method(
-    n: int, nnz: Optional[int] = None, n_components: int = 1,
-    batch: int = 1, max_component: Optional[int] = None,
-) -> str:
-    """The concrete backend ``method="auto"`` selects for a pattern.
-
-    Cost-model-driven: every ``auto_candidate`` backend prices the pattern
-    through its ``cost_estimate(n, nnz, n_components)`` hook — amortizing
-    its declared ``setup_cycles`` across ``batch`` co-dispatched requests,
-    and feeding ``max_component`` (largest component size, when the caller
-    knows it) to hooks that account for component shape — and the cheapest
-    wins (ties break toward earlier registration, i.e. the serial
-    reference — dict insertion order preserves it through ``min``).
-    """
-    estimates = auto_estimates(n, nnz, n_components, batch, max_component)
-    return min(estimates, key=estimates.__getitem__)
 
 
 def degradation_order(method: str) -> Tuple[str, ...]:

@@ -1,10 +1,9 @@
 """Registration of the built-in RCM execution backends.
 
 One :func:`~repro.backends.base.register` call per method — the whole
-definition of a backend (run adapter, capability flags, cost estimate)
-lives here, so adding an eleventh method is a matter of appending one more
-block to this file (or calling ``register()`` from the new backend's own
-module).
+definition of a backend (run adapter, capability flags) lives here, so
+adding an eleventh method is a matter of appending one more block to this
+file (or calling ``register()`` from the new backend's own module).
 
 Adapters normalize every kernel to one of two shapes:
 
@@ -16,19 +15,9 @@ Adapters normalize every kernel to one of two shapes:
 Heavyweight or optional dependencies (the process pool, the OS-thread
 machine, the semiring kernel) are imported inside their adapters, exactly
 as the old dispatch chain did, so ``import repro`` stays cheap.
-
-Cost estimates price a pattern in the same simulated cycles the machine
-models use (:mod:`repro.machine.costmodel`), with two Python-runtime terms
-the pure machine models do not see: per-level NumPy dispatch overhead and
-process-pool startup.  ``PY_LEVEL_DISPATCH_CYCLES`` is calibrated so the
-serial/vectorized crossover for an average-valence-4 mesh pattern lands at
-the measured ``n ≈ 2048`` (the old ``AUTO_VECTORIZED_MIN`` threshold this
-cost model replaces).
 """
 
 from __future__ import annotations
-
-import math
 
 from repro.backends.base import (
     KIND_OS_THREADS,
@@ -46,69 +35,7 @@ from repro.core.leveled import rcm_leveled
 from repro.core.serial import rcm_serial
 from repro.core.unordered import rcm_unordered
 from repro.core.vectorized import rcm_vectorized
-from repro.machine.costmodel import CPUCostModel, SERIAL_CPU, VECTORIZED_CPU
-
-__all__ = [
-    "PY_LEVEL_DISPATCH_CYCLES",
-    "POOL_STARTUP_CYCLES",
-    "POOL_NOMINAL_WORKERS",
-]
-
-#: Python/NumPy overhead per BFS level of the vectorized kernel, on top of
-#: the machine model's ``level_overhead_cycles`` — calibrated to keep the
-#: measured serial/vectorized crossover at n ≈ 2048 for avg-valence-4
-#: patterns (the old ``AUTO_VECTORIZED_MIN``).
-PY_LEVEL_DISPATCH_CYCLES = 3000.0
-
-#: one-time cost of forking and warming the process pool (~10 ms at the
-#: models' 4 GHz reference clock)
-POOL_STARTUP_CYCLES = 4.0e7
-
-#: pool size assumed when pricing method="parallel" (the facade default)
-POOL_NOMINAL_WORKERS = 4
-
-
-def _log2(x: float) -> float:
-    return math.log2(x) if x > 2.0 else 1.0
-
-
-def _serial_cost(n: int, nnz: int, n_components: int) -> float:
-    # per-parent child sorts: nnz elements total, segments of avg valence
-    avg_valence = nnz / max(n, 1)
-    sort = nnz * SERIAL_CPU.cycles_per_sorted_element * _log2(avg_valence)
-    return SERIAL_CPU.run(n, nnz, sort)
-
-
-def _bfs_shape(n: int, nnz: int, n_components: int):
-    """(levels, width) estimate: components traverse sequentially, each a
-    mesh-like frontier of ``sqrt(component size)`` levels."""
-    per_comp = n / n_components
-    levels = n_components * max(math.sqrt(per_comp), 1.0)
-    return levels, n / levels
-
-
-def _vectorized_cost(n: int, nnz: int, n_components: int) -> float:
-    levels, width = _bfs_shape(n, nnz, n_components)
-    sort = n * VECTORIZED_CPU.sort_element_cycles * _log2(width)
-    return (
-        VECTORIZED_CPU.run(int(math.ceil(levels)), nnz, sort)
-        + levels * PY_LEVEL_DISPATCH_CYCLES
-    )
-
-
-def _parallel_cost(
-    n: int, nnz: int, n_components: int, max_component: int = None
-) -> float:
-    # components are the parallelism grain: speedup caps at the smaller of
-    # the component count and the nominal pool size
-    ways = float(max(min(n_components, POOL_NOMINAL_WORKERS), 1))
-    if max_component is not None and max_component > 0:
-        # LPT bound: the largest component cannot be split across workers,
-        # so the speedup never exceeds n / max_component — a hub pattern
-        # that is one giant component plus pendant fragments parallelizes
-        # like a connected pattern, not like an even n_components-way split
-        ways = max(min(ways, n / max_component), 1.0)
-    return POOL_STARTUP_CYCLES + _vectorized_cost(n, nnz, n_components) / ways
+from repro.machine.costmodel import CPUCostModel
 
 
 # ---------------------------------------------------------------------------
@@ -186,9 +113,7 @@ register(Backend(
     kind=KIND_SERIAL,
     summary="Alg. 1 — the pure-Python single-threaded ground truth",
     run_component=_run_serial,
-    auto_candidate=True,
     fallback_rank=1,
-    cost_estimate=_serial_cost,
 ))
 
 register(Backend(
@@ -196,9 +121,7 @@ register(Backend(
     kind=KIND_VECTORIZED,
     summary="level-synchronous NumPy frontier kernel",
     run_component=_run_vectorized,
-    auto_candidate=True,
     fallback_rank=0,
-    cost_estimate=_vectorized_cost,
 ))
 
 register(Backend(
@@ -207,9 +130,6 @@ register(Backend(
     summary="per-component process pool over the vectorized kernel",
     run_matrix=_run_parallel,
     honors_n_workers=True,
-    auto_candidate=True,
-    cost_estimate=_parallel_cost,
-    setup_cycles=POOL_STARTUP_CYCLES,
 ))
 
 register(Backend(

@@ -25,12 +25,10 @@ from repro.telemetry.events import SCHEMA, git_sha, host_info
 
 __all__ = ["DEFAULT_METHODS", "largest_matrix_name", "measure", "main"]
 
-#: methods compared by default — the registry's auto candidates (the
-#: backends with real wall-clock ambitions: serial reference, NumPy
-#: frontier kernel, process-parallel executor)
-DEFAULT_METHODS = tuple(
-    b.name for b in backends.backends() if b.auto_candidate
-)
+#: methods compared by default — the backends with real wall-clock
+#: ambitions: the process pool and its degradation chain (NumPy frontier
+#: kernel, serial reference), listed reference first
+DEFAULT_METHODS = tuple(reversed(backends.degradation_order("parallel")))
 
 #: ``--quick`` keeps only single-process array kernels (no pool startup)
 _QUICK_KINDS = (KIND_SERIAL, KIND_VECTORIZED)

@@ -27,7 +27,9 @@ import numpy as np
 
 # the one eager repro import: every --method choices list below comes from
 # the backend registry, resolved at module import (single source of truth)
-from repro.backends import capability_rows, capability_table, method_choices
+from repro.backends import (
+    AUTO_METHOD, capability_rows, capability_table, method_choices,
+)
 
 __all__ = ["main"]
 
@@ -364,10 +366,6 @@ def cmd_serve(args) -> int:
 
         telemetry.enable()
         prof = profmod.start_profiler()
-    if getattr(args, "flight", None):
-        from repro.telemetry import flight
-
-        flight.configure(args.flight)
 
     specs: List[str] = []
     if args.workload:
@@ -423,17 +421,9 @@ def cmd_serve(args) -> int:
             if getattr(args, "listen", None) is not None:
                 from repro.telemetry.prometheus import MetricsServer
 
-                calibration_fn = None
-                if getattr(args, "flight", None):
-                    from repro.telemetry import flight as _flight
-
-                    def calibration_fn(path=args.flight):
-                        records = _flight.read_records(path)
-                        return _flight.calibrate(records) if records else None
-
                 server = MetricsServer(
                     telemetry.get().metrics, port=args.listen,
-                    status_fn=svc.stats, calibration_fn=calibration_fn,
+                    status_fn=svc.stats,
                 ).start()
                 print(f"metrics endpoint listening on {server.url}",
                       file=sys.stderr)
@@ -519,19 +509,17 @@ def cmd_serve(args) -> int:
 
 
 def cmd_telemetry(args) -> int:
-    """``telemetry``: trajectory, flight-recorder and inventory analysis.
+    """``telemetry``: trajectory, critical-path and inventory analysis.
 
     ``ingest`` appends one provenance-stamped run record (every
-    ``BENCH_*.json`` + the flight calibration summary) to the history
-    store; ``trend`` renders noise-aware per-benchmark verdicts over the
-    rolling history window (``--check`` exits non-zero on a statistical
-    FAIL); ``calibrate FLIGHT.jsonl`` aggregates recorded ``method="auto"``
-    resolutions into a predicted-vs-actual report with a per-backend
-    mispick rate; ``critpath EVENTS.jsonl`` computes the critical path
-    over a recorded span log with Amdahl-style what-if estimates;
-    ``inventory`` prints the generated Prometheus metric table embedded
-    in ``docs/observability.md``.  ``calibrate`` and ``critpath`` treat
-    an absent/empty log as clean no-data (exit 0), not an error.
+    ``BENCH_*.json``) to the history store; ``trend`` renders noise-aware
+    per-benchmark verdicts over the rolling history window (``--check``
+    exits non-zero on a statistical FAIL); ``critpath EVENTS.jsonl``
+    computes the critical path over a recorded span log with
+    Amdahl-style what-if estimates; ``inventory`` prints the generated
+    Prometheus metric table embedded in ``docs/observability.md``.
+    ``critpath`` treats an absent/empty log as clean no-data (exit 0),
+    not an error.
     """
     import json
 
@@ -549,9 +537,7 @@ def cmd_telemetry(args) -> int:
             print(f"ingest: no results directory at {results_dir}",
                   file=sys.stderr)
             return 2
-        record = history.build_run_record(
-            results_dir, flight_path=args.flight
-        )
+        record = history.build_run_record(results_dir)
         if not record["benches"]:
             print(f"ingest: no BENCH_*.json artifacts in {results_dir}",
                   file=sys.stderr)
@@ -560,8 +546,7 @@ def cmd_telemetry(args) -> int:
         store.append(record)
         print(
             f"appended run {record['git_sha'][:12]} "
-            f"({len(record['benches'])} benches, "
-            f"calibration={'yes' if record['calibration'] else 'no'}) "
+            f"({len(record['benches'])} benches) "
             f"to {store.path} ({len(store)} runs)"
         )
         return 0
@@ -604,65 +589,36 @@ def cmd_telemetry(args) -> int:
             return 0 if args.warn_only else 1
         return 0
 
-    if args.telemetry_command == "critpath":
-        from repro.telemetry import events as tev
-        from repro.telemetry.critical_path import (
-            critical_path, format_report,
+    # critpath
+    from repro.telemetry import events as tev
+    from repro.telemetry.critical_path import (
+        critical_path, format_report,
+    )
+    from repro.telemetry.spans import SpanRecord
+
+    path = Path(args.events)
+    recs = []
+    if path.exists():
+        recs = [
+            SpanRecord.from_event(e) for e in tev.read_jsonl(path)
+            if e.get("type") == "span"
+        ]
+    report = (
+        critical_path(
+            recs, trace_id=args.trace,
+            what_if_factor=args.what_if_factor,
         )
-        from repro.telemetry.spans import SpanRecord
-
-        path = Path(args.events)
-        recs = []
-        if path.exists():
-            recs = [
-                SpanRecord.from_event(e) for e in tev.read_jsonl(path)
-                if e.get("type") == "span"
-            ]
-        report = (
-            critical_path(
-                recs, trace_id=args.trace,
-                what_if_factor=args.what_if_factor,
-            )
-            if recs else None
-        )
-        if report is None:
-            # absent file, empty log, span-free log: clean no-data exit
-            print(f"critpath: no span data at {path} "
-                  f"(nothing recorded yet)")
-            return 0
-        if args.json:
-            print(json.dumps(report, indent=2, sort_keys=True))
-        else:
-            print(format_report(report))
-        return 0
-
-    # calibrate
-    from repro.telemetry import flight
-
-    path = Path(args.flight)
-    records = flight.read_records(path) if path.exists() else []
-    if not records:
-        # absent or empty flight log is a clean no-data case, not an
-        # error: CI calls this unconditionally after serve smoke runs
-        print(f"calibrate: no flight data at {path} "
+        if recs else None
+    )
+    if report is None:
+        # absent file, empty log, span-free log: clean no-data exit
+        print(f"critpath: no span data at {path} "
               f"(nothing recorded yet)")
         return 0
-    report = flight.calibrate(records, tie_epsilon=args.tie_epsilon)
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
-        print(flight.format_report(report))
-    if (
-        args.max_mispick_rate is not None
-        and report["records"]
-        and report["mispick_rate"] > args.max_mispick_rate
-    ):
-        print(
-            f"calibrate: mispick rate {report['mispick_rate']:.1%} exceeds "
-            f"threshold {args.max_mispick_rate:.1%}",
-            file=sys.stderr,
-        )
-        return 1
+        print(format_report(report))
     return 0
 
 
@@ -974,8 +930,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algorithm", default="rcm", choices=list(ALGORITHMS),
                    help="ordering heuristic (default: rcm)")
     p.add_argument("--method", default="auto", choices=methods,
-                   help="RCM execution strategy (default: auto — cheapest "
-                        "backend by cost model; see 'repro backends')")
+                   help="RCM execution strategy (default: auto — the "
+                        f"{AUTO_METHOD} backend; see 'repro backends')")
     p.add_argument("--workers", type=int, default=4)
     p.add_argument("--start", type=int, default=None)
     p.add_argument("--peripheral", action="store_true",
@@ -1077,9 +1033,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--linger", type=float, default=0.0, metavar="SECONDS",
                    help="keep the --listen endpoint up this long after the "
                         "workload drains (scrape window for smoke tests)")
-    p.add_argument("--flight", default=None, metavar="PATH.jsonl",
-                   help="record method=auto cost-model resolutions to a "
-                        "flight-recorder ring file")
     p.add_argument("--profile", action="store_true",
                    help="run the continuous sampling profiler for the "
                         "workload (implies telemetry; with --listen also "
@@ -1090,8 +1043,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "telemetry",
-        help="run history, trends, flight calibration, critical path, "
-             "inventory",
+        help="run history, trends, critical path, inventory",
     )
     tsub = p.add_subparsers(dest="telemetry_command", required=True)
     tp = tsub.add_parser(
@@ -1103,9 +1055,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "(default: benchmarks/results)")
     tp.add_argument("--history", default="benchmarks/results/history.jsonl",
                     help="history store path (append-only JSONL)")
-    tp.add_argument("--flight", default=None, metavar="PATH.jsonl",
-                    help="fold this flight-recorder file's calibration "
-                         "summary into the run record")
     tp.set_defaults(func=cmd_telemetry)
     tp = tsub.add_parser(
         "trend",
@@ -1129,20 +1078,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="print the machine-readable verdict document")
     tp.add_argument("--verdict-out", default=None, metavar="PATH.json",
                     help="also write the verdict document to a file")
-    tp.set_defaults(func=cmd_telemetry)
-    tp = tsub.add_parser(
-        "calibrate",
-        help="predicted-vs-actual report over a flight-recorder file",
-    )
-    tp.add_argument("flight", help="flight-recorder JSONL file")
-    tp.add_argument("--tie-epsilon", type=float, default=0.05,
-                    help="relative margin below which competing predictions "
-                         "count as a tie, not a mispick (default: 0.05)")
-    tp.add_argument("--max-mispick-rate", type=float, default=None,
-                    help="exit non-zero when the overall mispick rate "
-                         "exceeds this fraction")
-    tp.add_argument("--json", action="store_true",
-                    help="machine-readable report")
     tp.set_defaults(func=cmd_telemetry)
     tp = tsub.add_parser(
         "critpath",

@@ -4,11 +4,7 @@ Public entry point: :func:`repro.reorder` (see :mod:`repro.facade`).
 """
 
 from repro.core.serial import cuthill_mckee, rcm_serial, serial_cycles
-from repro.core.vectorized import (
-    cuthill_mckee_vectorized,
-    rcm_vectorized,
-    vectorized_cycles,
-)
+from repro.core.vectorized import cuthill_mckee_vectorized, rcm_vectorized
 from repro.core.batches import BatchConfig
 from repro.core.batch import BatchResult, run_batch_rcm
 from repro.core.batch_gpu import run_batch_rcm_gpu, chunk_plan
@@ -19,7 +15,6 @@ __all__ = [
     "serial_cycles",
     "cuthill_mckee_vectorized",
     "rcm_vectorized",
-    "vectorized_cycles",
     "BatchConfig",
     "BatchResult",
     "run_batch_rcm",

@@ -10,10 +10,10 @@ finished its deprecation cycle in 1.2 and now raises
 components, picks a start node per component (explicitly, by minimum
 valence, or pseudo-peripherally) and runs the chosen execution backend,
 assembling one global permutation.  Which backends exist, what each one
-honors, and what ``method="auto"`` resolves to all live in
-:mod:`repro.backends` — this module only walks the pipeline and hands each
-component (or, for whole-matrix backends, the component list) to the
-registered run callable.
+honors, and what ``method="auto"`` resolves to
+(:data:`repro.backends.AUTO_METHOD`) all live in :mod:`repro.backends` —
+this module only walks the pipeline and hands each component (or, for
+whole-matrix backends, the component list) to the registered run callable.
 
 Component convention (matches SciPy's ``csgraph.reverse_cuthill_mckee``
 structure): components are ordered by their smallest node id; within the
@@ -29,7 +29,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro import backends
-from repro.backends import resolve_auto_method  # noqa: F401  (re-export)
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.graph import connected_components
 from repro.sparse.bandwidth import (
@@ -45,14 +44,12 @@ from repro.errors import ValidationError
 from repro.machine.stats import RunStats
 from repro.validation import check_choice, check_start
 from repro import telemetry
-from repro.telemetry import flight
 
 __all__ = [
     "ReorderResult",
     "reverse_cuthill_mckee",
     "METHODS",
     "PHASES",
-    "resolve_auto_method",
 ]
 
 #: wall-clock phase names of the reorder pipeline, in execution order
@@ -201,6 +198,9 @@ def _reorder_rcm(
     caller's batch, which a validation error names.
     """
     check_choice("method", method, backends.method_choices())
+    if method == "auto":
+        method = backends.AUTO_METHOD
+    backend = backends.get(method)
     check_start(start, mat.n)
     check_transform(transform)
     if transform is not None and isinstance(start, (int, np.integer)):
@@ -253,19 +253,6 @@ def _reorder_rcm(
             f"found {n_comps} components"
         )
 
-    # auto-resolution sits after component discovery so the cost models see
-    # the real (n, nnz, n_components) shape — including the largest
-    # component, which bounds how much a pool dispatch can actually win
-    auto_estimates: Optional[Dict[str, float]] = None
-    max_component = max(sizes, default=0)
-    if method == "auto":
-        auto_estimates = backends.auto_estimates(
-            work.n, work.nnz, n_comps,
-            max_component=max_component or None,
-        )
-        method = min(auto_estimates, key=auto_estimates.__getitem__)
-    backend = backends.get(method)
-
     t_phase = time.perf_counter_ns()
     with tel.span("start-selection", category="api"):
         if isinstance(start, (int, np.integer)):
@@ -301,21 +288,6 @@ def _reorder_rcm(
             perm_parts.append(part)
             if comp_stats is not None:
                 stats.append(comp_stats)
-
-    if auto_estimates is not None and flight.get_recorder() is not None:
-        # close the cost-model loop: what auto predicted vs. what it cost.
-        # The scenario family is classified here — only when a recorder is
-        # live — so the hot path never pays for classification.
-        from repro.matrices.scenarios import classify
-
-        flight.record_auto(
-            n=mat.n, nnz=mat.nnz, n_components=n_comps,
-            estimates=auto_estimates, chosen=method,
-            actual_wall_ms=phase_ns["ordering"] / 1e6,
-            max_component=max_component or None,
-            scenario=classify(mat),
-            transform_ms=phase_ns["transform"] / 1e6,
-        )
 
     t_phase = time.perf_counter_ns()
     with tel.span("assembly", category="api"):
@@ -373,5 +345,5 @@ def reverse_cuthill_mckee(*args, **kwargs):
     raise RemovedAPIError(
         "reverse_cuthill_mckee() was removed in 1.2; call "
         "repro.reorder(mat, algorithm='rcm', method='serial', ...) instead "
-        "(method='auto' for the cost-model selector)"
+        "(method='auto' for the default backend)"
     )

@@ -28,10 +28,9 @@ from typing import Optional
 import numpy as np
 
 from repro.sparse.csr import CSRMatrix
-from repro.machine.costmodel import VectorizedCostModel, VECTORIZED_CPU
 from repro import telemetry
 
-__all__ = ["cuthill_mckee_vectorized", "rcm_vectorized", "vectorized_cycles"]
+__all__ = ["cuthill_mckee_vectorized", "rcm_vectorized"]
 
 #: power-of-two frontier-width buckets (frontiers span 1 .. ~1e5 nodes)
 _FRONTIER_BUCKETS = tuple(float(2 ** k) for k in range(18))
@@ -121,36 +120,3 @@ def rcm_vectorized(mat: CSRMatrix, start: int) -> np.ndarray:
     """Reverse Cuthill-McKee order of the component reachable from
     ``start`` — bit-identical to :func:`repro.core.serial.rcm_serial`."""
     return cuthill_mckee_vectorized(mat, start)[::-1].copy()
-
-
-def vectorized_cycles(
-    mat: CSRMatrix,
-    start: int,
-    *,
-    model: VectorizedCostModel = VECTORIZED_CPU,
-) -> float:
-    """Simulated cycle cost of the vectorized kernel on this matrix.
-
-    The model charges a fixed dispatch overhead per BFS level (NumPy kernel
-    launches) plus streaming per-edge gather/dedup work and an
-    ``O(k log k)`` per-level sort — the cost profile that makes the kernel
-    a poor fit for huge-diameter graphs (road networks) and a very good one
-    for wide-front meshes, mirroring the paper's GPU trade-off.
-    """
-    from repro.sparse.graph import bfs_levels
-
-    levels = bfs_levels(mat, start)
-    reached = levels >= 0
-    if not reached.any():
-        return 0.0
-    depth = int(levels.max())
-    valence = np.diff(mat.indptr)
-    widths = np.bincount(levels[reached], minlength=depth + 1)
-    edges = np.bincount(
-        levels[reached], weights=valence[reached].astype(np.float64),
-        minlength=depth + 1,
-    )
-    total = 0.0
-    for d in range(depth + 1):
-        total += model.level(float(edges[d]), int(widths[d]))
-    return total

@@ -16,14 +16,10 @@ registry (:mod:`repro.backends`) at import time — each method name is
 spelled exactly once, at its ``register()`` call, and
 ``tests/test_doc_drift.py`` holds this file to it.
 
-For RCM, ``method="auto"`` (the default) asks every auto-candidate backend
-to price the pattern through its ``cost_estimate(n, nnz, n_components)``
-hook and runs the cheapest — the pure-Python reference on small patterns,
-the level-synchronous NumPy kernel once its per-level dispatch overhead
-amortizes, the per-component process pool when a huge pattern splits into
-enough components to feed it (see
-:func:`repro.backends.resolve_auto_method`).  Every RCM method returns the
-identical permutation.
+For RCM, ``method="auto"`` (the default) runs
+:data:`repro.backends.AUTO_METHOD`, the level-synchronous NumPy kernel, on
+every pattern and batch size.  Every RCM method returns the identical
+permutation, so the rule only decides speed.
 
 Passing ``cache=`` (a :class:`repro.service.PermutationCache`, a
 :class:`repro.service.ShardedCache`, or a disk-tier directory path) makes
@@ -36,11 +32,9 @@ layout ``ReorderService(shards=N)`` serves from).
 control on top of the same path.
 
 Batches are first-class: :func:`reorder_many` reorders a whole list of
-matrices as **one dispatch** — matrices grouped by resolved backend, shipped
-through the zero-copy shared-memory transport to the persistent process
-pool (:func:`repro.parallel.map_matrices`), ``method="auto"`` priced with
-the batch-aware cost term (``setup_cycles`` amortized over the batch; see
-:meth:`repro.backends.Backend.estimate`).  Results are byte-identical to
+matrices as **one dispatch**, shipped through the zero-copy shared-memory
+transport to the persistent process pool
+(:func:`repro.parallel.map_matrices`).  Results are byte-identical to
 calling :func:`reorder` per matrix.
 
 Errors: everything either entry point raises on purpose derives from
@@ -58,7 +52,7 @@ from __future__ import annotations
 
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -169,8 +163,7 @@ def reorder(
     method:
         RCM execution strategy, one of
         :func:`repro.backends.method_choices`.  ``"auto"`` (default) runs
-        the cost-model selector over the registered auto candidates
-        (weighing node count, nnz and component count).  All methods
+        :data:`repro.backends.AUTO_METHOD`.  All methods
         return the **identical** permutation (the paper's headline
         invariant); they differ in execution strategy and in the
         statistics attached — see the capability table in
@@ -291,16 +284,12 @@ def reorder_many(
     **byte-identical** to the corresponding single :func:`reorder` call.
     What changes is the execution economics:
 
-    * ``method="auto"`` prices every backend with the batch-aware cost
-      term — each backend's one-time ``setup_cycles`` (pool fork/warm-up)
-      is amortized over the whole batch
-      (:func:`repro.backends.resolve_auto_method` with ``batch=len(mats)``)
-      — so a 64-matrix batch can justify the process pool where a
-      singleton cannot;
-    * matrices are grouped by resolved backend and each group runs as
-      **one** executor dispatch (:func:`repro.parallel.map_matrices`):
-      CSR payloads travel via the zero-copy shared-memory transport, the
-      persistent pool is warmed once and reused;
+    * the whole batch runs as **one** executor dispatch
+      (:func:`repro.parallel.map_matrices`) on the resolved backend
+      (``"auto"`` is :data:`repro.backends.AUTO_METHOD`, as for
+      :func:`reorder`): CSR payloads travel via the zero-copy
+      shared-memory transport, the persistent pool is warmed once and
+      reused;
     * with ``cache=`` given (cache object or disk-tier path, sharded per
       ``shards`` exactly as in :func:`reorder`), hits are served per
       matrix up front (``phase_ns={"cache": <ns>}``) and only the misses
@@ -370,9 +359,9 @@ def _compute_many(
     method: str, start: Union[int, str], n_workers: int, config,
     symmetrize: bool, seed: int, transform: Optional[str] = None,
 ) -> List[ReorderResult]:
-    """Grouped batch execution (no cache tier) — the one code path behind
-    both :func:`reorder_many` and the service's batched admission, so the
-    two surfaces cannot drift apart.
+    """Batch execution (no cache tier) — the one code path behind both
+    :func:`reorder_many` and the service's batched admission, so the two
+    surfaces cannot drift apart.
 
     Every matrix is validated where it runs; a malformed one fails the
     call with an error naming its ``positions`` entry (its index in the
@@ -397,43 +386,27 @@ def _compute_many(
             for m in mats
         ]
 
-    # group by the backend that will actually run; "auto" resolves with
-    # the dispatch-amortized batch term
-    groups: Dict[str, List[int]] = {}
-    for i, m in enumerate(mats):
-        resolved = method
-        if resolved == "auto":
-            resolved = backends.resolve_auto_method(
-                m.n, m.nnz, 1, batch=len(mats)
-            )
-        groups.setdefault(resolved, []).append(i)
-
-    results: List[Optional[ReorderResult]] = [None] * len(mats)
-    tel = telemetry.get()
-    with tel.span(
-        "reorder_many", category="api",
-        n_matrices=len(mats), n_groups=len(groups),
+    resolved = backends.AUTO_METHOD if method == "auto" else method
+    # the whole batch runs on one backend, so n_groups is always 1; the
+    # attribute stays because the benchmark's batch_groups probe reads it
+    with telemetry.get().span(
+        "reorder_many", category="api", n_matrices=len(mats), n_groups=1,
     ):
-        for resolved, idxs in groups.items():
-            if resolved == "parallel" or len(idxs) == 1:
-                # the process backend schedules components itself (and a
-                # pool inside a pool worker cannot fork) — run per matrix
-                for i in idxs:
-                    results[i] = _reorder_rcm(
-                        mats[i], method=resolved, start=start,
-                        n_workers=n_workers, symmetrize=symmetrize,
-                        _position=positions[i],
-                    )
-            else:
-                out = map_matrices(
-                    [mats[i] for i in idxs], method=resolved, start=start,
-                    symmetrize=symmetrize,
-                    config=ParallelConfig(n_workers=n_workers),
-                    _positions=[positions[i] for i in idxs],
+        if resolved == "parallel" or len(mats) == 1:
+            # the process backend schedules components itself (and a pool
+            # inside a pool worker cannot fork) — run per matrix
+            return [
+                _reorder_rcm(
+                    m, method=resolved, start=start, n_workers=n_workers,
+                    symmetrize=symmetrize, _position=pos,
                 )
-                for i, res in zip(idxs, out):
-                    results[i] = res
-    return results  # type: ignore[return-value]
+                for m, pos in zip(mats, positions)
+            ]
+        return map_matrices(
+            mats, method=resolved, start=start, symmetrize=symmetrize,
+            config=ParallelConfig(n_workers=n_workers),
+            _positions=positions,
+        )
 
 
 def _reorder_direct(

@@ -19,11 +19,9 @@ from dataclasses import dataclass, field, replace
 
 __all__ = [
     "SerialCostModel",
-    "VectorizedCostModel",
     "CPUCostModel",
     "GPUCostModel",
     "SERIAL_CPU",
-    "VECTORIZED_CPU",
 ]
 
 
@@ -64,48 +62,6 @@ class SerialCostModel:
 
 #: default serial model shared by baselines
 SERIAL_CPU = SerialCostModel()
-
-
-@dataclass(frozen=True)
-class VectorizedCostModel:
-    """Costs of the level-synchronous NumPy frontier kernel.
-
-    Work is charged per BFS *level*, not per node: each level pays a fixed
-    dispatch overhead (a handful of NumPy kernel launches), streaming
-    per-edge gather + mark-array dedup costs, and an ``O(k log k)`` stable
-    sort over the level's surviving children.  Deep narrow graphs therefore
-    drown in per-level overhead while wide fronts amortize it — the same
-    shape as the paper's GPU results, on a single CPU core.
-    """
-
-    clock_ghz: float = 4.0
-    level_overhead_cycles: float = 1400.0  # kernel dispatch per level
-    gather_edge_cycles: float = 1.2        # SIMD gather + visited filter
-    dedup_edge_cycles: float = 0.8         # mark-array claim + first check
-    sort_element_cycles: float = 1.6       # × log2(level width)
-
-    def level(self, n_edges: float, n_children: int) -> float:
-        """Cycles for one frontier expansion producing ``n_children``."""
-        sort = (
-            n_children * self.sort_element_cycles * _log2(max(n_children, 2))
-        )
-        return (
-            self.level_overhead_cycles
-            + n_edges * (self.gather_edge_cycles + self.dedup_edge_cycles)
-            + sort
-        )
-
-    def run(self, n_levels: int, n_edges: int, sort_cost: float) -> float:
-        """Cycles of a whole traversal given aggregate work counts."""
-        return (
-            n_levels * self.level_overhead_cycles
-            + n_edges * (self.gather_edge_cycles + self.dedup_edge_cycles)
-            + sort_cost
-        )
-
-
-#: default vectorized-kernel model
-VECTORIZED_CPU = VectorizedCostModel()
 
 
 @dataclass(frozen=True)

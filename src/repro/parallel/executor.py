@@ -329,8 +329,8 @@ def rcm_components(
     if not starts:
         return []
     # an explicit method="parallel" request is honored even on few-core
-    # hosts (cross-process traces depend on it); the auto cost model is
-    # what steers commodity requests away from the pool
+    # hosts (cross-process traces depend on it); method="auto" never runs
+    # the pool, so only explicit requests reach it
     if not cfg.force_processes and (
         len(starts) == 1 or workers == 1 or mat.n < MIN_PARALLEL_NODES
     ):

@@ -23,7 +23,7 @@ traffic-serving deployment needs:
   at most ``batch_window_ms`` after the first), groups them by requested
   execution options, and runs each group as **one** amortized dispatch
   through :func:`repro.facade.reorder_many` (shared-memory transport,
-  persistent pool, batch-aware ``auto``).  Cache, coalescing and
+  persistent pool).  Cache, coalescing and
   backpressure semantics are exactly those of the unbatched path — only
   the dispatch is shared.  Per-batch telemetry: histogram
   ``service.batch.size`` and span ``service.batch``.

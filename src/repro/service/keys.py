@@ -14,12 +14,10 @@ do **not** alter the permutation stay out of the key on purpose:
 ``method`` *is* part of the key even though all RCM methods agree on the
 permutation: a cached :class:`~repro.core.api.ReorderResult` records which
 method produced it, and serving a ``"serial"`` result for a ``"parallel"``
-request would misreport that.  ``"auto"`` is canonicalized through the
-backend registry's cost-model selector
-(:func:`repro.backends.resolve_auto_method`, with the connected-pattern
-estimate ``n_components=1`` — the key must be computable without a BFS) so
-``"auto"`` and its resolution share one entry, and non-RCM algorithms
-always key as ``"direct"``.
+request would misreport that.  ``"auto"`` keys as
+:data:`repro.backends.AUTO_METHOD`, the method it runs, so ``"auto"`` and
+its resolution share one entry; non-RCM algorithms always key as
+``"direct"``.
 """
 
 from __future__ import annotations
@@ -53,23 +51,12 @@ def pattern_digest(mat: CSRMatrix) -> str:
     return h.hexdigest()
 
 
-def canonical_method(
-    algorithm: str, method: str, n: int, nnz: Optional[int] = None
-) -> str:
-    """The concrete method a request resolves to (what the key records).
-
-    ``"auto"`` runs the registry's cost-model selector with a
-    ``n_components=1`` connected-pattern estimate: the key must be
-    derivable from the CSR arrays alone, without paying for component
-    discovery.  (The pipeline itself re-resolves with the real component
-    count, so on a heavily disconnected pattern the executed method can
-    differ from the keyed one — both still return the identical
-    permutation.)
-    """
+def canonical_method(algorithm: str, method: str) -> str:
+    """The concrete method a request runs (what the key records)."""
     if algorithm != "rcm":
         return "direct"
     if method == "auto":
-        return backends.resolve_auto_method(n, nnz)
+        return backends.AUTO_METHOD
     return method
 
 
@@ -155,7 +142,7 @@ def cache_key(
     resolved_tf = resolve_transform(transform, mat)
 
     pattern = pattern_digest(mat)
-    resolved = canonical_method(algorithm, method, mat.n, mat.nnz)
+    resolved = canonical_method(algorithm, method)
     start_token = f"node:{int(start)}" if isinstance(
         start, (int, np.integer)
     ) else f"strategy:{start}"

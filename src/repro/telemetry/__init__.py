@@ -17,8 +17,6 @@ public API pipeline, the solver and the benchmark drivers.  It bundles:
   merging so one request yields one coherent trace;
 * :mod:`repro.telemetry.prometheus` — text exposition + embedded
   ``/metrics`` endpoint for ``repro serve --listen``;
-* :mod:`repro.telemetry.flight` — cost-model flight recorder and the
-  ``repro telemetry calibrate`` predicted-vs-actual analysis;
 * :mod:`repro.telemetry.history` — append-only run-history store and the
   noise-aware trend verdicts behind ``repro telemetry trend``;
 * :mod:`repro.telemetry.slo` — declarative service-level objectives

@@ -1,331 +1,17 @@
-"""Cost-model flight recorder: log every ``auto`` pick, then calibrate.
+"""Stub left by the removed ``method="auto"`` flight recorder.
 
-``method="auto"`` trusts :func:`repro.backends.resolve_auto_method` — an
-argmin over analytic cycle estimates that nothing ever checks against
-reality.  The flight recorder closes the loop: every auto resolution
-appends one JSONL record (problem shape, all candidate estimates, the
-chosen backend, the measured ordering wall time) to a bounded ring file,
-and :func:`calibrate` aggregates a recorded session into a
-predicted-vs-actual report with a per-backend **mispick rate**: the
-fraction of picks where another candidate's *calibrated* prediction beat
-the chosen one.  ``repro telemetry calibrate`` prints the report and
-``benchmarks/check_regressions.py`` flags rates above threshold.
-
-Recording is off unless :func:`configure` is called or the
-``REPRO_FLIGHT_PATH`` environment variable names a file; the overhead is
-one dict + one appended line per *auto* request, nothing on explicit
-method picks.
+``method="auto"`` is now a rule (:data:`repro.backends.AUTO_METHOD`), so
+there are no cost-model picks left to record or calibrate.  Only
+:func:`get_recorder` remains, because the end-to-end benchmark's
+"every observer is off" check still imports it.  Delete this module in the
+benchmark change that drops that check.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import threading
-import time
-from pathlib import Path
-from typing import Dict, List, Optional, Union
-
-from repro.telemetry.events import read_jsonl
-
-__all__ = [
-    "FlightRecorder",
-    "FLIGHT_ENV_VAR",
-    "DEFAULT_LIMIT",
-    "configure",
-    "get_recorder",
-    "disable_recording",
-    "record_auto",
-    "read_records",
-    "calibrate",
-    "format_report",
-]
-
-#: environment variable that enables recording without code changes
-FLIGHT_ENV_VAR = "REPRO_FLIGHT_PATH"
-
-#: default ring size (records kept after compaction)
-DEFAULT_LIMIT = 2048
-
-#: schema tag on every record
-RECORD_SCHEMA = "repro-flight/v1"
+__all__ = ["get_recorder"]
 
 
-class FlightRecorder:
-    """Append-only JSONL ring file of ``auto`` resolutions.
-
-    Appends are one ``open("a")`` + one line (crash-safe: a torn tail is
-    skipped by :func:`read_records` via the robust ``read_jsonl``).  Every
-    ``limit`` appends the file is compacted to the most recent ``limit``
-    records via a temp-file rename, so it never exceeds ``2 * limit``
-    lines and the recorder can run forever under a service without
-    unbounded growth.
-    """
-
-    def __init__(self, path: Union[str, Path],
-                 limit: int = DEFAULT_LIMIT) -> None:
-        if limit < 1:
-            raise ValueError("flight recorder limit must be >= 1")
-        self.path = Path(path)
-        self.limit = int(limit)
-        self._lock = threading.Lock()
-        self._appended = 0
-
-    def record(self, entry: dict) -> None:
-        """Append one record, compacting the ring when oversized."""
-        entry = {"schema": RECORD_SCHEMA, "unix_time": time.time(), **entry}
-        line = json.dumps(entry, sort_keys=True)
-        with self._lock:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with self.path.open("a") as fh:
-                fh.write(line + "\n")
-            self._appended += 1
-            # amortized size check: only count lines every `limit` appends
-            if self._appended % self.limit == 0:
-                self._maybe_compact()
-
-    def _maybe_compact(self) -> None:
-        records = read_jsonl(self.path)
-        if len(records) <= self.limit:
-            return
-        keep = records[-self.limit:]
-        tmp = self.path.with_suffix(self.path.suffix + ".tmp")
-        with tmp.open("w") as fh:
-            for rec in keep:
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")
-        tmp.replace(self.path)
-
-
-# ----------------------------------------------------------------------
-# process-wide recorder (mirrors the telemetry.get() pattern)
-# ----------------------------------------------------------------------
-_LOCK = threading.Lock()
-_RECORDER: Optional[FlightRecorder] = None
-_ENV_CHECKED = False
-
-
-def configure(path: Union[str, Path],
-              limit: int = DEFAULT_LIMIT) -> FlightRecorder:
-    """Start recording auto resolutions to ``path``."""
-    global _RECORDER, _ENV_CHECKED
-    with _LOCK:
-        _RECORDER = FlightRecorder(path, limit)
-        _ENV_CHECKED = True
-        return _RECORDER
-
-
-def disable_recording() -> None:
-    """Stop recording (existing files are left in place)."""
-    global _RECORDER, _ENV_CHECKED
-    with _LOCK:
-        _RECORDER = None
-        _ENV_CHECKED = True
-
-
-def get_recorder() -> Optional[FlightRecorder]:
-    """The active recorder, honouring ``REPRO_FLIGHT_PATH`` lazily."""
-    global _RECORDER, _ENV_CHECKED
-    with _LOCK:
-        if _RECORDER is None and not _ENV_CHECKED:
-            _ENV_CHECKED = True
-            env = os.environ.get(FLIGHT_ENV_VAR)
-            if env:
-                _RECORDER = FlightRecorder(env)
-        return _RECORDER
-
-
-def record_auto(*, n: int, nnz: int, n_components: int,
-                estimates: Dict[str, float], chosen: str,
-                actual_wall_ms: float,
-                max_component: Optional[int] = None,
-                scenario: Optional[str] = None,
-                transform_ms: Optional[float] = None) -> None:
-    """Record one ``auto`` resolution (no-op when recording is off).
-
-    ``mispick_margin`` is the *raw-estimate* slack: best rejected estimate
-    minus the chosen estimate (positive = the model was confident).  The
-    calibrated verdict comes later, from :func:`calibrate`.
-    ``max_component`` (largest connected component) and ``scenario`` (the
-    pattern's scenario family per :func:`repro.matrices.scenarios.classify`
-    — the pipeline only classifies when a recorder is active) let
-    :func:`calibrate` break the mispick rate down by graph shape, so a
-    cost model that is well calibrated on meshes cannot hide a systematic
-    power-law mispick inside the aggregate rate.  ``transform_ms`` is the
-    measured wall-clock of the pre-BFS transform phase (the power-law hub
-    pass) — recorded so calibration can later price the transform itself
-    into ``method="auto"``, not just its effect on level counts.
-    """
-    rec = get_recorder()
-    if rec is None:
-        return
-    others = [v for k, v in estimates.items() if k != chosen]
-    margin = (min(others) - estimates[chosen]) if others else None
-    entry = {
-        "n": int(n),
-        "nnz": int(nnz),
-        "n_components": int(n_components),
-        "estimates": {k: float(v) for k, v in estimates.items()},
-        "chosen": chosen,
-        "actual_wall_ms": float(actual_wall_ms),
-        "mispick_margin": margin,
-    }
-    if max_component is not None:
-        entry["max_component"] = int(max_component)
-    if scenario is not None:
-        entry["scenario"] = str(scenario)
-    if transform_ms is not None:
-        entry["transform_ms"] = float(transform_ms)
-    rec.record(entry)
-
-
-def read_records(path: Union[str, Path]) -> List[dict]:
-    """Flight records from ``path`` (corrupt lines skipped, not raised)."""
-    return [r for r in read_jsonl(path)
-            if r.get("schema") == RECORD_SCHEMA and "chosen" in r]
-
-
-# ----------------------------------------------------------------------
-# calibration
-# ----------------------------------------------------------------------
-def calibrate(records: List[dict], *, tie_epsilon: float = 0.05) -> dict:
-    """Predicted-vs-actual report over a recorded session.
-
-    Cost estimates are abstract cycles, not milliseconds, so each backend
-    first gets a fitted *scale* (sum of actual ms over sum of chosen-case
-    estimates — a least-absolute-error rate fit).  A pick counts as a
-    **mispick** when some other candidate's calibrated prediction
-    undercuts the chosen backend's calibrated prediction by more than
-    ``tie_epsilon`` (relative): the model, corrected for its own unit
-    error, still preferred the wrong backend.  Backends never chosen
-    inherit the mean scale of the fitted ones (their estimates are in the
-    same cycle currency).
-
-    Records that carry a ``scenario`` field (see :func:`record_auto`) are
-    additionally aggregated into ``report["scenarios"]`` — picks, mispicks
-    and mispick rate per scenario family — the per-shape breakdown
-    ``repro telemetry calibrate`` prints and
-    ``benchmarks/check_regressions.py`` gates.
-    """
-    report: dict = {
-        "records": len(records),
-        "tie_epsilon": tie_epsilon,
-        "backends": {},
-        "scenarios": {},
-        "mispicks": 0,
-        "mispick_rate": 0.0,
-    }
-    if not records:
-        return report
-
-    sums: Dict[str, List[float]] = {}
-    for rec in records:
-        chosen = rec["chosen"]
-        est = rec["estimates"].get(chosen)
-        if est and est > 0:
-            acc = sums.setdefault(chosen, [0.0, 0.0])
-            acc[0] += rec["actual_wall_ms"]
-            acc[1] += est
-    scales = {b: ms / est for b, (ms, est) in sums.items() if est > 0}
-    default_scale = (sum(scales.values()) / len(scales)) if scales else 1.0
-
-    per_backend: Dict[str, dict] = {}
-    per_scenario: Dict[str, dict] = {}
-    total_mispicks = 0
-    for rec in records:
-        chosen = rec["chosen"]
-        estimates = rec["estimates"]
-        scale = scales.get(chosen, default_scale)
-        predicted_ms = estimates.get(chosen, 0.0) * scale
-        actual_ms = rec["actual_wall_ms"]
-
-        best_other = None
-        for cand, est in estimates.items():
-            if cand == chosen:
-                continue
-            pred = est * scales.get(cand, default_scale)
-            if best_other is None or pred < best_other[1]:
-                best_other = (cand, pred)
-        mispick = (
-            best_other is not None
-            and best_other[1] < predicted_ms * (1.0 - tie_epsilon)
-        )
-
-        stats = per_backend.setdefault(chosen, {
-            "picks": 0, "mispicks": 0,
-            "predicted_ms_sum": 0.0, "actual_ms_sum": 0.0,
-            "abs_err_ms_sum": 0.0,
-        })
-        stats["picks"] += 1
-        stats["predicted_ms_sum"] += predicted_ms
-        stats["actual_ms_sum"] += actual_ms
-        stats["abs_err_ms_sum"] += abs(predicted_ms - actual_ms)
-        if mispick:
-            stats["mispicks"] += 1
-            total_mispicks += 1
-
-        scenario = rec.get("scenario")
-        if scenario:
-            fam = per_scenario.setdefault(
-                scenario, {"picks": 0, "mispicks": 0}
-            )
-            fam["picks"] += 1
-            if mispick:
-                fam["mispicks"] += 1
-
-    for backend, stats in per_backend.items():
-        picks = stats["picks"]
-        report["backends"][backend] = {
-            "picks": picks,
-            "scale_ms_per_cycle": scales.get(backend, default_scale),
-            "mean_predicted_ms": stats["predicted_ms_sum"] / picks,
-            "mean_actual_ms": stats["actual_ms_sum"] / picks,
-            "mean_abs_err_ms": stats["abs_err_ms_sum"] / picks,
-            "mispicks": stats["mispicks"],
-            "mispick_rate": stats["mispicks"] / picks,
-        }
-    for scenario, fam in sorted(per_scenario.items()):
-        report["scenarios"][scenario] = {
-            "picks": fam["picks"],
-            "mispicks": fam["mispicks"],
-            "mispick_rate": fam["mispicks"] / fam["picks"],
-        }
-    report["mispicks"] = total_mispicks
-    report["mispick_rate"] = total_mispicks / len(records)
-    return report
-
-
-def format_report(report: dict) -> str:
-    """The calibration report as an aligned, human-readable table."""
-    lines = [
-        f"flight records : {report['records']}",
-        f"tie epsilon    : {report['tie_epsilon']:.2f}",
-        f"overall mispick: {report['mispicks']} "
-        f"({report['mispick_rate']:.1%})",
-    ]
-    if report["backends"]:
-        lines.append("")
-        header = (f"{'backend':<12} {'picks':>5} {'pred ms':>9} "
-                  f"{'actual ms':>9} {'|err| ms':>9} {'mispick':>8}")
-        lines.append(header)
-        lines.append("-" * len(header))
-        for backend in sorted(report["backends"]):
-            s = report["backends"][backend]
-            lines.append(
-                f"{backend:<12} {s['picks']:>5} "
-                f"{s['mean_predicted_ms']:>9.3f} "
-                f"{s['mean_actual_ms']:>9.3f} "
-                f"{s['mean_abs_err_ms']:>9.3f} "
-                f"{s['mispick_rate']:>7.1%}"
-            )
-    if report.get("scenarios"):
-        lines.append("")
-        header = f"{'scenario':<16} {'picks':>5} {'mispicks':>8} {'rate':>7}"
-        lines.append(header)
-        lines.append("-" * len(header))
-        for scenario in sorted(report["scenarios"]):
-            s = report["scenarios"][scenario]
-            lines.append(
-                f"{scenario:<16} {s['picks']:>5} {s['mispicks']:>8} "
-                f"{s['mispick_rate']:>6.1%}"
-            )
-    return "\n".join(lines)
+def get_recorder() -> None:
+    """Always ``None``: no flight recorder exists any more."""
+    return None

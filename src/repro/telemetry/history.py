@@ -3,9 +3,9 @@
 Every benchmark session produces point-in-time ``BENCH_*.json`` artifacts;
 this module turns them into a *trajectory*: an append-only, schema-versioned
 JSONL store (``benchmarks/results/history.jsonl`` by convention) where each
-line is one complete run — every bench's wall time, the summed counter
-snapshot, the flight-recorder calibration summary — stamped with
-``git_sha`` / ``branch`` / ``hostname`` / ``timestamp``.
+line is one complete run — every bench's wall time and the summed counter
+snapshot — stamped with ``git_sha`` / ``branch`` / ``hostname`` /
+``timestamp``.
 
 On top of the store sits a noise-aware regression engine.  A static
 baseline cannot tell a real regression from run-to-run jitter; a rolling
@@ -124,7 +124,6 @@ def stamp_provenance(record: dict, *, unix_time: Optional[float] = None) -> dict
 def build_run_record(
     results_dir: Union[str, Path],
     *,
-    flight_path: Optional[Union[str, Path]] = None,
     unix_time: Optional[float] = None,
 ) -> dict:
     """One history record summarizing a ``benchmarks/results`` directory.
@@ -132,9 +131,7 @@ def build_run_record(
     Ingests every ``BENCH_*.json`` (per-bench ``wall_ms`` plus matrix /
     method provenance), sums every payload's counter snapshot into one
     run-level ``counters`` aggregate (the offline SLO input — see
-    :mod:`repro.telemetry.slo`), and, when a flight-recorder file is
-    present, folds in the calibration summary (``records`` /
-    ``mispick_rate``).
+    :mod:`repro.telemetry.slo`).
     """
     results_dir = Path(results_dir)
     benches: Dict[str, dict] = {}
@@ -153,29 +150,11 @@ def build_run_record(
         for cname, value in (payload.get("counters") or {}).items():
             counters[cname] = counters.get(cname, 0) + value
 
-    calibration = None
-    flight_file = (
-        Path(flight_path) if flight_path is not None
-        else results_dir / "flight.jsonl"
-    )
-    if flight_file.exists():
-        from repro.telemetry import flight
-
-        records = flight.read_records(flight_file)
-        if records:
-            report = flight.calibrate(records)
-            calibration = {
-                "records": report["records"],
-                "mispicks": report["mispicks"],
-                "mispick_rate": report["mispick_rate"],
-            }
-
     return stamp_provenance(
         {
             "host": host_info(),
             "benches": benches,
             "counters": counters,
-            "calibration": calibration,
         },
         unix_time=unix_time,
     )

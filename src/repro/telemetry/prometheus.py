@@ -260,13 +260,11 @@ class MetricsServer:
 
     def __init__(self, registry, port: int = 0, host: str = "127.0.0.1",
                  status_fn: Optional[Callable[[], dict]] = None,
-                 calibration_fn: Optional[Callable[[], Optional[dict]]] = None,
                  profile_fn: Optional[Callable[[], Optional[dict]]] = None,
                  critpath_fn: Optional[Callable[[], Optional[dict]]] = None,
                  ) -> None:
         self.registry = registry
         self._status_fn = status_fn
-        self._calibration_fn = calibration_fn
         self._profile_fn = profile_fn
         self._critpath_fn = critpath_fn
         self._httpd = ThreadingHTTPServer((host, port), _Handler)
@@ -287,21 +285,11 @@ class MetricsServer:
         host, port = self._httpd.server_address[:2]
         return f"http://{host}:{port}"
 
-    def _calibration(self) -> Optional[dict]:
-        if self._calibration_fn is None:
-            return None
-        try:
-            return self._calibration_fn()
-        except Exception:  # pragma: no cover - defensive
-            return None
-
     def evaluate_slo(self) -> dict:
         """The live SLO evaluation over the served registry."""
         from repro.telemetry import slo
 
-        return slo.evaluate(
-            self.registry.to_dict(), calibration=self._calibration()
-        )
+        return slo.evaluate(self.registry.to_dict())
 
     def refresh_slo(self) -> dict:
         """Re-evaluate the SLO spec and mirror it onto ``slo.*`` gauges."""

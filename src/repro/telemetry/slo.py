@@ -1,8 +1,8 @@
 """Declarative service-level objectives over the metrics registry.
 
 An :class:`SLO` binds a *signal* — a derived quantity computed from a
-metrics snapshot (ratios over counters, histogram quantiles, calibration
-summaries) — to an objective and a direction.  The same spec evaluates
+metrics snapshot (ratios over counters, histogram quantiles) — to an
+objective and a direction.  The same spec evaluates
 
 * **live**: ``/statusz`` embeds the evaluation and ``/metrics`` exports
   ``slo.*`` gauges on every scrape (see
@@ -94,13 +94,6 @@ DEFAULT_SLOS: Tuple[SLO, ...] = (
         direction="min",
     ),
     SLO(
-        name="auto_mispick_rate",
-        description="calibrated method=auto cost-model mispick rate",
-        signal="auto_mispick_rate",
-        objective=0.25,
-        direction="max",
-    ),
-    SLO(
         name="service_fallback_rate",
         description="degraded requests over admitted requests",
         signal="service_fallback_rate",
@@ -155,15 +148,12 @@ def _ratio(num: float, den: float) -> Optional[float]:
     return (num / den) if den else None
 
 
-def collect_signals(
-    snapshot: dict, *, calibration: Optional[dict] = None
-) -> Dict[str, Optional[float]]:
+def collect_signals(snapshot: dict) -> Dict[str, Optional[float]]:
     """Derive every SLO input signal from a metrics snapshot.
 
     ``snapshot`` is a :meth:`MetricsRegistry.to_dict` document (or the
     equivalent ``counters``/``histograms`` aggregate a history record
-    carries); ``calibration`` is a flight-recorder calibration summary
-    (``{"mispick_rate": ...}``) when one exists.
+    carries).
     """
     counters = snapshot.get("counters") or {}
     histograms = snapshot.get("histograms") or {}
@@ -182,9 +172,6 @@ def collect_signals(
             histograms.get("service.hit_latency_ms"), 0.99
         ),
         "cache_hit_ratio": _ratio(hits, hits + misses),
-        "auto_mispick_rate": (
-            calibration.get("mispick_rate") if calibration else None
-        ),
         "service_fallback_rate": _ratio(fallbacks, requests),
         "speculation_drop_rate": _ratio(dropped, discovered),
     }
@@ -194,7 +181,6 @@ def evaluate(
     snapshot: dict,
     *,
     slos: Sequence[SLO] = DEFAULT_SLOS,
-    calibration: Optional[dict] = None,
 ) -> dict:
     """Evaluate ``slos`` against one metrics snapshot.
 
@@ -202,7 +188,7 @@ def evaluate(
     — per SLO the measured value, objective, direction, burn and verdict
     (``None`` verdict = not evaluable from this snapshot).
     """
-    signals = collect_signals(snapshot, calibration=calibration)
+    signals = collect_signals(snapshot)
     per_slo: Dict[str, dict] = {}
     evaluated = met = 0
     for slo in slos:
@@ -234,15 +220,12 @@ def evaluate_history(
     """Offline SLO trajectory: one evaluation per history run record.
 
     Each run's summed ``counters`` aggregate plays the role of the live
-    registry snapshot, and its stored ``calibration`` summary supplies the
-    mispick signal.  Returns ``[{git_sha, timestamp, evaluation}, ...]``.
+    registry snapshot.  Returns ``[{git_sha, timestamp, evaluation}, ...]``.
     """
     out = []
     for run in runs:
         evaluation = evaluate(
-            {"counters": run.get("counters") or {}},
-            slos=slos,
-            calibration=run.get("calibration"),
+            {"counters": run.get("counters") or {}}, slos=slos
         )
         out.append({
             "git_sha": run.get("git_sha"),

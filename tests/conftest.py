@@ -68,6 +68,19 @@ def random_symmetric(n: int, density: float, seed: int) -> CSRMatrix:
     )
 
 
+def block_union(blocks) -> CSRMatrix:
+    """Block-diagonal union of patterns: one component per connected block."""
+    offsets = np.cumsum([0] + [b.n for b in blocks])
+    nnz = np.cumsum([0] + [b.nnz for b in blocks])
+    indptr = np.concatenate(
+        [[0]] + [b.indptr[1:] + k for b, k in zip(blocks, nnz)]
+    )
+    indices = np.concatenate(
+        [b.indices + off for b, off in zip(blocks, offsets)]
+    )
+    return CSRMatrix(indptr, indices, n=int(offsets[-1]))
+
+
 @pytest.fixture
 def random_graphs():
     """A family of random symmetric graphs across sizes and densities."""

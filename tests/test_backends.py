@@ -1,4 +1,5 @@
-"""The execution-backend registry: model, selection, degradation, extension."""
+"""The execution-backend registry: model, the ``auto`` rule, degradation,
+extension."""
 
 from __future__ import annotations
 
@@ -7,8 +8,12 @@ import pytest
 
 import repro
 from repro import backends
-from repro.backends import Backend
+from repro.backends import AUTO_METHOD, Backend
 from repro.core.serial import rcm_serial
+from repro.matrices import generators as g
+from repro.service import ReorderService, ServiceConfig, cache_key
+
+from tests.conftest import block_union
 
 
 EXPECTED_NAMES = (
@@ -70,14 +75,6 @@ class TestBackendModel:
             Backend(name="x", kind="quantum", summary="s",
                     run_component=lambda *a, **k: None)
 
-    def test_auto_candidate_needs_cost_model(self):
-        with pytest.raises(ValueError, match="cost_estimate"):
-            Backend(name="x", kind="serial", summary="s",
-                    run_component=lambda *a, **k: None, auto_candidate=True)
-
-    def test_estimate_without_cost_model_is_infinite(self):
-        assert backends.get("leveled").estimate(1000, 4000) == float("inf")
-
     def test_capability_flags_match_what_kernels_read(self):
         caps = {b.name: b for b in backends.backends()}
         assert caps["serial"].kind == backends.KIND_SERIAL
@@ -90,28 +87,66 @@ class TestBackendModel:
         assert not caps["vectorized"].emits_stats
 
 
-class TestAutoSelection:
-    def test_small_patterns_stay_serial(self):
-        assert backends.resolve_auto_method(64) == "serial"
-        assert backends.resolve_auto_method(512) == "serial"
+#: a 10-node path, a connected mesh and a union of 37 narrow grids
+_INPUTS = [
+    g.grid2d(10, 1),
+    g.grid2d(40, 40),
+    block_union([g.grid2d(3 + i % 5, 20) for i in range(37)]),
+]
 
-    def test_large_patterns_go_vectorized(self):
-        assert backends.resolve_auto_method(8192) == "vectorized"
 
-    def test_component_count_unlocks_the_pool(self):
-        n, nnz = 4_000_000, 16_000_000
-        assert backends.resolve_auto_method(n, nnz, 8) == "parallel"
-        assert backends.resolve_auto_method(n, nnz, 1) == "vectorized"
+def _via_reorder(mats, monkeypatch):
+    return [repro.reorder(m).method for m in mats]
 
-    def test_nnz_default_assumes_mesh_valence(self):
-        n = 8192
-        assert backends.resolve_auto_method(n) == backends.resolve_auto_method(
-            n, 4 * n
-        )
 
-    def test_resolution_is_always_registered(self):
-        for n in (1, 100, 10_000, 1_000_000):
-            assert backends.is_registered(backends.resolve_auto_method(n))
+def _via_reorder_many(mats, monkeypatch):
+    import repro.parallel
+
+    calls = []
+    real = repro.parallel.map_matrices
+
+    def spy(batch, **kwargs):
+        calls.append(len(batch))
+        return real(batch, **kwargs)
+
+    monkeypatch.setattr(repro.parallel, "map_matrices", spy)
+    methods = [r.method for r in repro.reorder_many(mats)]
+    assert calls == [len(mats)], "a mixed-size batch is one dispatch"
+    return methods
+
+
+def _via_service(mats, monkeypatch):
+    with ReorderService() as svc:
+        return [svc.reorder(m).method for m in mats]
+
+
+def _via_batched_admission(mats, monkeypatch):
+    with ReorderService(ServiceConfig(batch_window_ms=50)) as svc:
+        return [r.method for r in svc.reorder_many(mats)]
+
+
+def _via_cache_key(mats, monkeypatch):
+    return [cache_key(m).method for m in mats]
+
+
+class TestAutoRule:
+    """``method="auto"`` runs :data:`AUTO_METHOD` on every surface, for
+    every pattern shape and batch size."""
+
+    def test_rule_names_a_registered_backend(self):
+        assert backends.is_registered(AUTO_METHOD)
+
+    def test_inputs_span_the_shapes(self):
+        assert [
+            repro.reorder(m, method="serial").n_components for m in _INPUTS
+        ] == [1, 1, 37]
+
+    @pytest.mark.parametrize("via", [
+        _via_reorder, _via_reorder_many, _via_service,
+        _via_batched_admission, _via_cache_key,
+    ], ids=lambda f: f.__name__[len("_via_"):])
+    def test_auto_resolves_to_the_rule(self, via, monkeypatch):
+        assert via(_INPUTS, monkeypatch) == [AUTO_METHOD] * len(_INPUTS)
 
 
 class TestDegradation:

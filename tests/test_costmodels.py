@@ -89,75 +89,3 @@ class TestBaselineRelations:
         small = serial_cycles(g.grid2d(10, 10), start=0)
         large = serial_cycles(g.grid2d(20, 20), start=0)
         assert 3.0 < large / small < 6.0  # 4x nodes/edges -> ~4x cycles
-
-
-class TestAutoComponentShape:
-    """Regression: hub-dominated patterns mispicked the process pool.
-
-    A hub pattern routinely splits into one giant component plus a few
-    pendant fragments.  The old ``_parallel_cost`` assumed an even
-    ``n_components``-way split, so a 5-component multi-million-node
-    pattern priced the pool at a ~4x speedup it can never realize — LPT
-    over one giant component gives none.  ``resolve_auto_method`` now
-    accepts the largest component size and bounds the speedup by
-    ``n / max_component`` (the pipeline passes the real value after
-    component discovery).
-    """
-
-    N = 5_000_000
-    NNZ = 20_000_000
-
-    def test_giant_component_rejects_pool(self):
-        # this is the failing-then-fixed case: without the shape term the
-        # selector returns "parallel" for exactly this (n, nnz, 5) triple
-        from repro.backends import resolve_auto_method
-
-        resolved = resolve_auto_method(
-            self.N, self.NNZ, 5, max_component=self.N - 4
-        )
-        assert resolved != "parallel"
-
-    def test_even_split_still_picks_pool(self):
-        from repro.backends import resolve_auto_method
-
-        resolved = resolve_auto_method(
-            self.N, self.NNZ, 5, max_component=self.N // 5
-        )
-        assert resolved == "parallel"
-
-    def test_shape_term_only_penalizes(self):
-        """The LPT bound can only raise the pool estimate, never lower it."""
-        from repro.backends import auto_estimates
-
-        base = auto_estimates(self.N, self.NNZ, 5)
-        for max_component in (self.N // 5, self.N // 2, self.N - 4):
-            shaped = auto_estimates(
-                self.N, self.NNZ, 5, max_component=max_component
-            )
-            assert shaped["parallel"] >= base["parallel"] - 1e-6
-            # in-process backends are shape-indifferent
-            assert shaped["serial"] == base["serial"]
-            assert shaped["vectorized"] == base["vectorized"]
-
-    def test_pipeline_passes_real_shape(self):
-        """End to end: a hub pattern with pendant fragments resolves auto
-        through the shape-aware estimates (recorded in the flight log)."""
-        import json
-
-        from repro import reorder
-        from repro.telemetry import flight
-
-        mat = g.hub_matrix(400, n_hubs=2, hub_degree_frac=0.5, seed=9)
-        try:
-            import tempfile, os
-            with tempfile.TemporaryDirectory() as td:
-                path = os.path.join(td, "flight.jsonl")
-                flight.configure(path)
-                reorder(mat, method="auto")
-                records = flight.read_records(path)
-        finally:
-            flight.disable_recording()
-        assert records
-        rec = records[-1]
-        assert rec["max_component"] >= 1
-        assert rec["scenario"] == "hub-dominated"

@@ -110,9 +110,7 @@ class TestCacheKeyDerivesFromRegistry:
 
         key = cache_key(small_grid, method="auto")
         assert backends.is_registered(key.method)
-        assert key.method == canonical_method(
-            "rcm", "auto", small_grid.n, small_grid.nnz
-        )
+        assert key.method == canonical_method("rcm", "auto")
 
     def test_unknown_method_never_reaches_the_digest(self, small_grid):
         from repro.service.keys import cache_key
@@ -190,13 +188,24 @@ class TestProseDocs:
         )
         for needle in (
             "reorder_many",
-            "setup_cycles",
+            "AUTO_METHOD",
             "RemovedAPIError",
             "batch_window_ms",
         ):
             assert needle in text, (
                 f"docs/api.md missing {needle!r}; see the 'Batch API' and "
                 "'Migrating from the old entry points' sections"
+            )
+
+    @pytest.mark.parametrize("stale", [
+        "cost_estimate", "REPRO_FLIGHT_PATH", "telemetry calibrate",
+    ])
+    def test_removed_auto_pricing_is_not_documented(self, stale):
+        # method="auto" is a rule; its cost hooks, flight recorder and
+        # calibration command are gone
+        for path in [REPO / "README.md", *sorted(DOCS.glob("*.md"))]:
+            assert stale not in path.read_text(), (
+                f"{path.name} still documents the removed {stale!r}"
             )
 
     def test_api_md_lists_every_validation_message(self):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.backends import resolve_auto_method
+from repro.backends import AUTO_METHOD
 from repro.facade import ALGORITHMS, reorder
 from repro.matrices import generators as g
 from repro.sparse.csr import coo_to_csr
@@ -23,24 +23,8 @@ class TestFacade:
     def test_default_is_rcm_auto(self, medium_grid):
         res = reorder(medium_grid)
         assert res.algorithm == "rcm"
-        assert res.method == resolve_auto_method(
-            medium_grid.n, medium_grid.nnz, 1
-        )
+        assert res.method == AUTO_METHOD
         assert_permutation(res.permutation, medium_grid.n)
-
-    def test_auto_crossover(self):
-        # the cost-model selector keeps the measured shape: the per-level
-        # dispatch overhead makes small patterns serial, large ones
-        # vectorized (crossover near the old n=2048 threshold)
-        assert resolve_auto_method(512) == "serial"
-        assert resolve_auto_method(8192) == "vectorized"
-
-    def test_auto_weighs_component_count(self):
-        # a huge pattern in many components feeds the process pool; the
-        # same pattern as one component doesn't amortize pool startup
-        n, nnz = 4_000_000, 16_000_000
-        assert resolve_auto_method(n, nnz, n_components=8) == "parallel"
-        assert resolve_auto_method(n, nnz, n_components=1) == "vectorized"
 
     # method equivalence is covered by the golden battery in
     # test_equivalence_matrix.py

@@ -44,7 +44,6 @@ def _seed_history(path, walls, bench="kernel_bfs", sha_prefix="cafe"):
             "git_sha": f"{sha_prefix}{i:04d}",
             "benches": {bench: {"wall_ms": wall}},
             "counters": {"service.cache.hits": 3, "service.cache.misses": 1},
-            "calibration": None,
         }))
     return store
 
@@ -86,27 +85,12 @@ class TestBuildRunRecord:
         assert rec["benches"]["fig3_run"]["wall_ms"] == 80.0
         # counters sum across payloads into one run-level aggregate
         assert rec["counters"]["threads.speculation.discovered"] == 15
-        assert rec["calibration"] is None
 
     def test_skips_corrupt_artifacts(self, tmp_path):
         _seed_results(tmp_path, {"ok": _bench_payload("ok", 1.0)})
         (tmp_path / "BENCH_broken.json").write_text("{not json")
         rec = history.build_run_record(tmp_path)
         assert list(rec["benches"]) == ["ok"]
-
-    def test_folds_flight_calibration(self, tmp_path):
-        from repro.telemetry import flight
-
-        _seed_results(tmp_path, {"ok": _bench_payload("ok", 1.0)})
-        rec = flight.FlightRecorder(tmp_path / "flight.jsonl")
-        rec.record({
-            "n": 1000, "nnz": 4000, "n_components": 1,
-            "estimates": {"serial": 100.0, "vectorized": 120.0},
-            "chosen": "serial", "actual_wall_ms": 1.0,
-        })
-        record = history.build_run_record(tmp_path)
-        assert record["calibration"]["records"] == 1
-        assert "mispick_rate" in record["calibration"]
 
 
 class TestHistoryStore:

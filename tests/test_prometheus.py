@@ -176,3 +176,10 @@ class TestInventory:
         table = metric_inventory_table()
         assert "service_requests_total" in table
         assert "parallel_tasks_total" in table
+
+    def test_inventory_prints_table(self, capsys):
+        from repro.cli import main
+
+        assert main(["telemetry", "inventory"]) == 0
+        out = capsys.readouterr().out
+        assert "service_requests_total" in out

@@ -21,7 +21,8 @@ import pytest
 import repro.service.core as service_core
 from repro import telemetry
 from repro.errors import ReproError
-from repro.facade import reorder
+from repro.facade import reorder, reorder_many
+from repro.matrices.generators import grid2d
 from repro.service import (
     PermutationCache,
     ReorderService,
@@ -34,6 +35,8 @@ from repro.service import (
     pattern_digest,
 )
 from repro.sparse.csr import CSRMatrix, coo_to_csr
+
+from tests.conftest import block_union
 
 
 def random_symmetric(n, density, seed):
@@ -95,6 +98,27 @@ def gated(monkeypatch):
     g.calls = calls
     yield g
     gate.set()  # never leave workers stuck if the test failed early
+
+
+class TestKeyNamesTheMethodThatRuns:
+    """A cache key's ``method`` is the method that runs, on every surface,
+    so the service never files a result under a key naming another
+    method."""
+
+    @pytest.mark.parametrize("mat", [
+        grid2d(40, 40),
+        block_union([grid2d(40, 40), grid2d(40, 40)]),
+        block_union([grid2d(3 + i % 5, 20) for i in range(37)]),
+    ], ids=["connected", "two-components", "37-components"])
+    def test_key_and_results_agree(self, mat):
+        with ReorderService() as svc:
+            served = svc.reorder(mat).method
+        assert {
+            cache_key(mat).method,
+            reorder(mat).method,
+            reorder_many([mat])[0].method,
+            served,
+        } == {cache_key(mat).method}
 
 
 class TestColdWarm:

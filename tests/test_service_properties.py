@@ -18,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
+from repro.backends import AUTO_METHOD
 from repro.facade import reorder
 from repro.service import PermutationCache, cache_key, pattern_digest
 from repro.sparse.csr import CSRMatrix, coo_to_csr
@@ -135,10 +136,9 @@ class TestSensitivity:
     def test_auto_shares_key_with_its_resolution(self, g):
         n, edges = g
         mat = _build(n, edges)
-        # below AUTO_VECTORIZED_MIN "auto" resolves to "serial"
         assert (
             cache_key(mat, method="auto").digest
-            == cache_key(mat, method="serial").digest
+            == cache_key(mat, method=AUTO_METHOD).digest
         )
 
 

@@ -104,12 +104,6 @@ class TestCollectSignals:
         assert sig["service_fallback_rate"] == pytest.approx(0.1)
         assert sig["speculation_drop_rate"] == pytest.approx(0.25)
 
-    def test_calibration_supplies_mispick_rate(self):
-        sig = slo.collect_signals(
-            _snapshot(), calibration={"mispick_rate": 0.125}
-        )
-        assert sig["auto_mispick_rate"] == pytest.approx(0.125)
-
 
 class TestEvaluate:
     def test_idle_is_healthy(self):
@@ -138,14 +132,12 @@ class TestEvaluate:
                           "service.cache.misses": 9}},
             {"git_sha": "b", "timestamp": "t1",
              "counters": {"service.cache.hits": 9,
-                          "service.cache.misses": 1},
-             "calibration": {"mispick_rate": 0.0}},
+                          "service.cache.misses": 1}},
         ]
         traj = slo.evaluate_history(runs)
         assert [t["git_sha"] for t in traj] == ["a", "b"]
         assert traj[0]["evaluation"]["slos"]["cache_hit_ratio"]["ok"] is False
         assert traj[1]["evaluation"]["slos"]["cache_hit_ratio"]["ok"] is True
-        assert traj[1]["evaluation"]["slos"]["auto_mispick_rate"]["ok"] is True
 
     def test_format_report_renders(self):
         text = slo.format_report(slo.evaluate(_snapshot(
@@ -210,15 +202,6 @@ class TestMetricsServerSLO:
             text = self._get(srv.url + "/metrics")
         assert "slo_health_score 1" in text
         assert "slo_cache_hit_ratio_ok 1" in text
-
-    def test_calibration_fn_feeds_the_mispick_slo(self):
-        srv = MetricsServer(
-            MetricsRegistry(), port=0,
-            calibration_fn=lambda: {"mispick_rate": 0.9},
-        )
-        ev = srv.evaluate_slo()
-        srv._httpd.server_close()
-        assert ev["slos"]["auto_mispick_rate"]["ok"] is False
 
 
 class TestRequestQualityHistograms:

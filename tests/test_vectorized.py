@@ -10,12 +10,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.serial import cuthill_mckee, rcm_serial, serial_cycles
-from repro.core.vectorized import (
-    cuthill_mckee_vectorized,
-    rcm_vectorized,
-    vectorized_cycles,
-)
+from repro.core.serial import cuthill_mckee, rcm_serial
+from repro.core.vectorized import cuthill_mckee_vectorized, rcm_vectorized
 from repro.matrices import generators as g
 from repro.matrices.mycielski import mycielskian
 from repro.sparse.csr import CSRMatrix
@@ -87,22 +83,6 @@ class TestGeneratorFamilies:
             ref = cuthill_mckee(mat, 0)
             got = cuthill_mckee_vectorized(mat, 0)
             assert np.array_equal(ref, got)
-
-
-class TestCostModel:
-    def test_vectorized_cycles_positive(self, medium_grid):
-        cycles = vectorized_cycles(medium_grid, 0)
-        assert cycles > 0
-
-    def test_models_cross_over_with_size(self, medium_grid):
-        # per-level dispatch overhead dominates on small graphs; on large
-        # ones the amortized per-edge costs win — mirroring the measured
-        # behaviour that motivates the ``method="auto"`` size threshold
-        big = g.grid2d(80, 80)
-        assert vectorized_cycles(medium_grid, 0) > serial_cycles(
-            medium_grid, start=0
-        )
-        assert vectorized_cycles(big, 0) < serial_cycles(big, start=0)
 
 
 class TestOrientation:
