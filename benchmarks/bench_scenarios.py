@@ -1,34 +1,24 @@
 """Scenario-family battery: per-family floors + transform level economics.
 
-Writes the canonical ``BENCH_scenario_matrix.json`` artifact (consumed by
-``check_regressions.py``'s ``check_scenario_floors`` gate) with one row
-per scenario family:
+Measures one row per scenario family and asserts on it:
 
 * ``bandwidth_reduction`` — the worst (smallest) RCM recovery across the
   family's registered scenarios, measured from a seeded random relabeling
   (:func:`repro.matrices.scenarios.shuffled` — families like ``banded``
-  ship in near-optimal natural order, so floors are recovery floors);
-* ``floor`` — the family's committed floor from
-  :data:`repro.matrices.scenarios.FAMILY_FLOORS`, embedded in the
-  artifact so the gate script needs no repro import;
+  ship in near-optimal natural order, so floors are recovery floors); it
+  must clear the family's floor in
+  :data:`repro.matrices.scenarios.FAMILY_FLOORS`;
 * ``levels_plain`` / ``levels_transformed`` — the giant component's BFS
   level count from the start each path uses (min-valence vs the
   power-law transform's hub start): the transform must never deepen the
   level structure and must strictly shallow it on the heavy-tailed
   families.
 
-All numbers are structural permutation facts — noise-immune, so
-``check_scenario_floors`` is always enforced.  The benchmark's own
-``wall_ms`` rides through the autouse ``bench_record`` fixture under a
-different artifact name (the test is deliberately not named
-``test_scenario_matrix``, so the fixture cannot overwrite the canonical
-artifact written here).
+All numbers are structural permutation facts, so the asserts are immune
+to host noise.  ``tests/test_scenarios.py`` enforces the same floors.
 """
 
 from __future__ import annotations
-
-import json
-import time
 
 import numpy as np
 
@@ -37,7 +27,6 @@ from repro.facade import reorder
 from repro.matrices.scenarios import FAMILY_FLOORS, SCENARIOS, shuffled
 from repro.sparse.bandwidth import bandwidth
 from repro.sparse.graph import bfs_levels, connected_components
-from repro.telemetry.events import SCHEMA, host_info
 
 SIZE = "small"
 
@@ -84,40 +73,20 @@ def _family_rows() -> dict:
             rows[spec.family] = {
                 "scenario": spec.name,
                 "bandwidth_reduction": reduction,
-                "floor": FAMILY_FLOORS[spec.family],
                 "levels_plain": levels_plain,
                 "levels_transformed": levels_transformed,
-                "transform_applied": plan is not None,
-                "n": mat.n,
-                "nnz": mat.nnz,
             }
     return rows
 
 
-def test_scenario_family_battery(results_dir):
-    t0 = time.perf_counter_ns()
-    families = _family_rows()
-    wall_ms = (time.perf_counter_ns() - t0) / 1e6
-
-    payload = {
-        "schema": SCHEMA,
-        "bench": "scenario_matrix",
-        "matrix": None,
-        "method": "serial",
-        "size": SIZE,
-        "wall_ms": wall_ms,
-        "families": families,
-        "host": host_info(),
-        "unix_time": time.time(),
-    }
-    out = results_dir / "BENCH_scenario_matrix.json"
-    out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-    # acceptance invariants, also enforced by check_regressions.py
+def test_scenario_family_battery(benchmark):
+    # the benchmark fixture is what lets --benchmark-only run the asserts
+    families = benchmark.pedantic(_family_rows, rounds=1, iterations=1)
     for family, row in sorted(families.items()):
-        assert row["bandwidth_reduction"] >= row["floor"], (
+        floor = FAMILY_FLOORS[family]
+        assert row["bandwidth_reduction"] >= floor, (
             f"{family} recovery {row['bandwidth_reduction']:.1%} below its "
-            f"floor {row['floor']:.1%} ({row['scenario']})"
+            f"floor {floor:.1%} ({row['scenario']})"
         )
         assert row["levels_transformed"] <= row["levels_plain"], (
             f"{family}: transform deepened the level structure "

@@ -1,9 +1,8 @@
 """Wall-clock benchmarks of the execution layer (real time, not simulated).
 
 Times ``repro.reorder`` per method on the largest generator matrix and
-regenerates the speedup/throughput artifacts (``BENCH_rcm_speedup.json``,
-``BENCH_rcm_throughput.json``) that the benchmark regression gate
-(``benchmarks/check_regressions.py``) compares against committed baselines.
+regenerates the speedup/throughput tables (``speedup.csv``,
+``throughput.csv``); the vectorized kernel must beat the serial loop.
 """
 
 import pytest
@@ -31,10 +30,7 @@ def test_rcm_wallclock(benchmark, method, largest_name):
 def test_regenerate_speedup(benchmark, results_dir):
     rows = benchmark.pedantic(
         speedup_mod.main,
-        args=([
-            "--json", str(results_dir / "BENCH_rcm_speedup.json"),
-            "--csv", str(results_dir / "speedup.csv"),
-        ],),
+        args=(["--csv", str(results_dir / "speedup.csv")],),
         rounds=1, iterations=1,
     )
     by_method = {r["method"]: r for r in rows}
@@ -46,11 +42,7 @@ def test_regenerate_speedup(benchmark, results_dir):
 def test_regenerate_throughput(benchmark, results_dir):
     rows = benchmark.pedantic(
         throughput_mod.main,
-        args=([
-            "--quick",
-            "--json", str(results_dir / "BENCH_rcm_throughput.json"),
-            "--csv", str(results_dir / "throughput.csv"),
-        ],),
+        args=(["--quick", "--csv", str(results_dir / "throughput.csv")],),
         rounds=1, iterations=1,
     )
     assert all(r["matrices_per_s"] > 0 for r in rows)

@@ -509,15 +509,11 @@ def cmd_serve(args) -> int:
 
 
 def cmd_telemetry(args) -> int:
-    """``telemetry``: trajectory, critical-path and inventory analysis.
+    """``telemetry``: critical-path and inventory analysis.
 
-    ``ingest`` appends one provenance-stamped run record (every
-    ``BENCH_*.json``) to the history store; ``trend`` renders noise-aware
-    per-benchmark verdicts over the rolling history window (``--check``
-    exits non-zero on a statistical FAIL); ``critpath EVENTS.jsonl``
-    computes the critical path over a recorded span log with
-    Amdahl-style what-if estimates; ``inventory`` prints the generated
-    Prometheus metric table embedded in ``docs/observability.md``.
+    ``critpath EVENTS.jsonl`` computes the critical path over a recorded
+    span log with Amdahl-style what-if estimates; ``inventory`` prints the
+    generated Prometheus metric table embedded in ``docs/observability.md``.
     ``critpath`` treats an absent/empty log as clean no-data (exit 0),
     not an error.
     """
@@ -527,66 +523,6 @@ def cmd_telemetry(args) -> int:
         from repro.telemetry.prometheus import metric_inventory_table
 
         print(metric_inventory_table())
-        return 0
-
-    if args.telemetry_command == "ingest":
-        from repro.telemetry import history
-
-        results_dir = Path(args.results_dir)
-        if not results_dir.is_dir():
-            print(f"ingest: no results directory at {results_dir}",
-                  file=sys.stderr)
-            return 2
-        record = history.build_run_record(results_dir)
-        if not record["benches"]:
-            print(f"ingest: no BENCH_*.json artifacts in {results_dir}",
-                  file=sys.stderr)
-            return 2
-        store = history.HistoryStore(args.history)
-        store.append(record)
-        print(
-            f"appended run {record['git_sha'][:12]} "
-            f"({len(record['benches'])} benches) "
-            f"to {store.path} ({len(store)} runs)"
-        )
-        return 0
-
-    if args.telemetry_command == "trend":
-        from repro.telemetry import history
-
-        path = Path(args.history)
-        runs = history.read_history(path) if path.exists() else []
-        if args.since:
-            runs = history.runs_since(runs, args.since)
-        if not runs:
-            print(f"trend: no history runs in {path}", file=sys.stderr)
-            return 0 if args.warn_only else 2
-        verdicts = history.evaluate_trends(
-            runs, window=args.window, min_samples=args.min_samples,
-        )
-        doc = history.verdict_document(verdicts, history_path=path)
-        if args.json:
-            print(json.dumps(doc, indent=2, sort_keys=True))
-        else:
-            print(f"{len(runs)} runs in {path} "
-                  f"(window {args.window}, min samples {args.min_samples})")
-            print(history.render_trends(verdicts))
-            summary = ", ".join(
-                f"{n} {s}" for s, n in sorted(doc["by_status"].items())
-            )
-            print(f"\nverdicts: {summary}")
-        if args.verdict_out:
-            Path(args.verdict_out).write_text(
-                json.dumps(doc, indent=2, sort_keys=True) + "\n"
-            )
-            print(f"wrote verdict document to {args.verdict_out}",
-                  file=sys.stderr if args.json else sys.stdout)
-        if args.check and doc["failed"]:
-            print(
-                f"trend: statistical regression in {doc['failed']}",
-                file=sys.stderr,
-            )
-            return 0 if args.warn_only else 1
         return 0
 
     # critpath
@@ -1043,42 +979,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "telemetry",
-        help="run history, trends, critical path, inventory",
+        help="critical path, metric inventory",
     )
     tsub = p.add_subparsers(dest="telemetry_command", required=True)
-    tp = tsub.add_parser(
-        "ingest",
-        help="append one provenance-stamped run record to the history store",
-    )
-    tp.add_argument("--results-dir", default="benchmarks/results",
-                    help="directory holding BENCH_*.json artifacts "
-                         "(default: benchmarks/results)")
-    tp.add_argument("--history", default="benchmarks/results/history.jsonl",
-                    help="history store path (append-only JSONL)")
-    tp.set_defaults(func=cmd_telemetry)
-    tp = tsub.add_parser(
-        "trend",
-        help="noise-aware per-benchmark trend verdicts over the history",
-    )
-    tp.add_argument("--history", default="benchmarks/results/history.jsonl",
-                    help="history store path (append-only JSONL)")
-    tp.add_argument("--check", action="store_true",
-                    help="exit 1 when any benchmark's verdict is FAIL")
-    tp.add_argument("--since", default=None, metavar="SHA",
-                    help="only consider runs at or after this git sha prefix")
-    tp.add_argument("--window", type=int, default=20,
-                    help="rolling window of prior runs per verdict "
-                         "(default: 20)")
-    tp.add_argument("--min-samples", type=int, default=5,
-                    help="prior samples required before verdicts are "
-                         "statistical; fewer yields SKIP (default: 5)")
-    tp.add_argument("--warn-only", action="store_true",
-                    help="report FAILs but always exit 0 (PR-CI mode)")
-    tp.add_argument("--json", action="store_true",
-                    help="print the machine-readable verdict document")
-    tp.add_argument("--verdict-out", default=None, metavar="PATH.json",
-                    help="also write the verdict document to a file")
-    tp.set_defaults(func=cmd_telemetry)
     tp = tsub.add_parser(
         "critpath",
         help="critical-path + what-if report over a telemetry span log",

@@ -302,7 +302,7 @@ def _reorder_rcm(
         reord_bw = bandwidth_after(mat, perm)
         if tel.enabled:
             # per-request quality deltas: how much this request actually
-            # bought (longitudinal signal for the history store / SLOs)
+            # bought, exported on /metrics
             if init_bw > 0:
                 tel.histogram(
                     "request.bandwidth_reduction", buckets=_REDUCTION_BUCKETS

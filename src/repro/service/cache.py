@@ -24,6 +24,7 @@ import json
 import os
 import threading
 import time
+import zipfile
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
@@ -162,6 +163,7 @@ class PermutationCache:
 
     @staticmethod
     def _read_npz(path: Path) -> Optional[dict]:
+        """The entry stored at ``path``; ``None`` when absent or unreadable."""
         if not path.exists():
             return None
         try:
@@ -171,8 +173,9 @@ class PermutationCache:
                     npz["permutation"], dtype=np.int64
                 )
             return entry
-        except (OSError, KeyError, ValueError, json.JSONDecodeError):
-            # a torn/foreign file is a miss, never an error
+        except (OSError, KeyError, ValueError, EOFError, zipfile.BadZipFile):
+            # a torn/foreign file is a miss, never an error: truncation and
+            # bit flips raise BadZipFile, an empty file EOFError
             return None
 
     def _disk_read(self, digest: str) -> Optional[dict]:
@@ -306,18 +309,15 @@ class PermutationCache:
         """Inspection snapshot of a disk tier directory (no cache needed)."""
         out: List[dict] = []
         for path in sorted(Path(disk_dir).glob("*.npz")):
-            try:
-                with np.load(path) as npz:
-                    meta = json.loads(bytes(npz["meta"].tobytes()).decode())
-                    nbytes = int(npz["permutation"].nbytes)
-            except (OSError, KeyError, ValueError, json.JSONDecodeError):
+            entry = PermutationCache._read_npz(path)
+            if entry is None:
                 out.append({"digest": path.stem, "error": "unreadable"})
                 continue
             out.append(
                 {
-                    **meta.get("key", {}),
-                    "created": meta.get("created"),
-                    "perm_bytes": nbytes,
+                    **entry.get("key", {}),
+                    "created": entry.get("created"),
+                    "perm_bytes": int(entry["permutation"].nbytes),
                     "file": path.name,
                 }
             )

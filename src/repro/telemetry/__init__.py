@@ -17,11 +17,8 @@ public API pipeline, the solver and the benchmark drivers.  It bundles:
   merging so one request yields one coherent trace;
 * :mod:`repro.telemetry.prometheus` — text exposition + embedded
   ``/metrics`` endpoint for ``repro serve --listen``;
-* :mod:`repro.telemetry.history` — append-only run-history store and the
-  noise-aware trend verdicts behind ``repro telemetry trend``;
 * :mod:`repro.telemetry.slo` — declarative service-level objectives
-  evaluated live (``/statusz`` health score, ``slo.*`` gauges) and
-  offline against the history store.
+  evaluated live (``/statusz`` health score, ``slo.*`` gauges).
 
 Usage — everything hangs off one process-wide :class:`Telemetry` instance::
 

@@ -4,7 +4,9 @@ One event per line, ``type``-discriminated: a ``meta`` header (schema
 version, host info, free-form context), ``span`` events (see
 :meth:`~repro.telemetry.spans.SpanRecord.to_event`) and a final ``metrics``
 snapshot.  The format round-trips losslessly through :func:`read_jsonl` and
-is what ``repro profile --telemetry`` and ``BENCH_*.json`` builders consume.
+is what ``repro profile`` and the ``--telemetry`` flag of ``reorder``,
+``serve`` and ``bench`` write; :func:`host_info` and :func:`git_sha` also
+stamp the ``repro bench speedup|throughput --json`` artifacts.
 """
 
 from __future__ import annotations

@@ -2,14 +2,9 @@
 
 An :class:`SLO` binds a *signal* — a derived quantity computed from a
 metrics snapshot (ratios over counters, histogram quantiles) — to an
-objective and a direction.  The same spec evaluates
-
-* **live**: ``/statusz`` embeds the evaluation and ``/metrics`` exports
-  ``slo.*`` gauges on every scrape (see
-  :class:`repro.telemetry.prometheus.MetricsServer`);
-* **offline**: against the counter aggregates each run record of the
-  history store carries (:func:`evaluate_history`), so the SLO trajectory
-  is replayable across the whole ``history.jsonl``.
+objective and a direction.  ``/statusz`` embeds the evaluation and
+``/metrics`` exports ``slo.*`` gauges on every scrape (see
+:class:`repro.telemetry.prometheus.MetricsServer`).
 
 Every signal is *total*: when its inputs are absent (no cache traffic yet,
 no speculation run recorded) the signal is ``None`` and the SLO is simply
@@ -21,14 +16,13 @@ service is a healthy service).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 __all__ = [
     "SLO",
     "DEFAULT_SLOS",
     "collect_signals",
     "evaluate",
-    "evaluate_history",
     "export_gauges",
     "format_report",
     "quantile_from_summary",
@@ -114,8 +108,8 @@ def quantile_from_summary(summary: Optional[dict], q: float) -> Optional[float]:
     """Estimated ``q``-quantile from a ``Histogram.to_dict()`` snapshot.
 
     Mirrors :meth:`repro.telemetry.metrics.Histogram.quantile` but works on
-    the serialized form, so offline history records and live registries
-    share one code path.  ``None`` when the snapshot is absent or empty.
+    the serialized form a registry snapshot carries.  ``None`` when the
+    snapshot is absent or empty.
     """
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"quantile must be in [0, 1]; got {q!r}")
@@ -151,9 +145,7 @@ def _ratio(num: float, den: float) -> Optional[float]:
 def collect_signals(snapshot: dict) -> Dict[str, Optional[float]]:
     """Derive every SLO input signal from a metrics snapshot.
 
-    ``snapshot`` is a :meth:`MetricsRegistry.to_dict` document (or the
-    equivalent ``counters``/``histograms`` aggregate a history record
-    carries).
+    ``snapshot`` is a :meth:`MetricsRegistry.to_dict` document.
     """
     counters = snapshot.get("counters") or {}
     histograms = snapshot.get("histograms") or {}
@@ -212,27 +204,6 @@ def evaluate(
         "met": met,
         "slos": per_slo,
     }
-
-
-def evaluate_history(
-    runs: Sequence[dict], *, slos: Sequence[SLO] = DEFAULT_SLOS
-) -> List[dict]:
-    """Offline SLO trajectory: one evaluation per history run record.
-
-    Each run's summed ``counters`` aggregate plays the role of the live
-    registry snapshot.  Returns ``[{git_sha, timestamp, evaluation}, ...]``.
-    """
-    out = []
-    for run in runs:
-        evaluation = evaluate(
-            {"counters": run.get("counters") or {}}, slos=slos
-        )
-        out.append({
-            "git_sha": run.get("git_sha"),
-            "timestamp": run.get("timestamp"),
-            "evaluation": evaluation,
-        })
-    return out
 
 
 def export_gauges(registry, evaluation: dict) -> None:

@@ -155,20 +155,26 @@ class TestProseDocs:
         )
 
     def test_observability_md_documents_the_trajectory_layer(self):
-        # the trajectory/SLO/introspection surfaces shipped together; the
-        # doc must name each command and the history store location
-        text = (DOCS / "observability.md").read_text()
-        for needle in (
-            "repro telemetry trend",
-            "repro telemetry ingest",
-            "repro inspect",
-            "history.jsonl",
-            "repro-history/v1",
-        ):
-            assert needle in text, (
-                f"docs/observability.md missing {needle!r}; see the "
-                "'Trajectory & trends' / 'SLOs' sections"
-            )
+        # the per-request trajectory is `repro inspect`; the run-history
+        # store and its static-baseline gate are gone, replaced by the
+        # end-to-end benchmark, so no doc may still send readers to them
+        assert "repro inspect" in (DOCS / "observability.md").read_text()
+        docs = [REPO / "README.md", *sorted(DOCS.glob("*.md")),
+                REPO / ".claude" / "skills" / "verify" / "SKILL.md"]
+        for path in docs:
+            text = path.read_text()
+            for needle in (
+                "repro telemetry ingest",
+                "repro telemetry trend",
+                "history.jsonl",
+                "repro-history/v1",
+                "check_regressions",
+                "baselines.json",
+            ):
+                assert needle not in text, (
+                    f"{path.relative_to(REPO)} still mentions removed "
+                    f"{needle!r}"
+                )
 
     def test_observability_md_names_every_default_slo(self):
         from repro.telemetry.slo import DEFAULT_SLOS
@@ -336,7 +342,6 @@ class TestProseDocs:
             "tf:powerlaw",
             "--transform",
             "bench_scenarios.py",
-            "BENCH_scenario_matrix.json",
             "tests/test_scenarios.py",
         ):
             assert needle in text, f"docs/scenarios.md missing {needle!r}"
@@ -358,7 +363,7 @@ class TestProseDocs:
             "/debug/critpath",
             "--profile",
             "telemetry.profiler.overhead_pct",
-            "--max-profiler-overhead-pct",
+            "MAX_PROFILER_OVERHEAD_PCT",
             "speedscope",
         ):
             assert needle in text, (

@@ -376,6 +376,46 @@ class TestDiskTier:
         ref = reorder(small_grid, method="serial")
         assert res.permutation.tobytes() == ref.permutation.tobytes()
 
+    @pytest.mark.parametrize(
+        "corruption", ["half-truncated", "tail-truncated", "byte-flip", "empty"]
+    )
+    def test_corrupt_disk_entry_is_a_miss(self, tmp_path, corruption):
+        mat = grid2d(30, 30)
+        ref = reorder(mat, method="serial")
+        with ReorderService(ServiceConfig(disk_dir=tmp_path)) as svc:
+            svc.reorder(mat)
+        (entry,) = tmp_path.glob("*.npz")
+        data = entry.read_bytes()
+        if corruption == "half-truncated":
+            data = data[: len(data) // 2]
+        elif corruption == "tail-truncated":
+            data = data[:-16]  # the zip central directory's end
+        elif corruption == "byte-flip":
+            flipped = bytearray(data)
+            flipped[len(data) // 4] ^= 0xFF  # inside permutation.npy
+            data = bytes(flipped)
+        else:
+            data = b""
+        entry.write_bytes(data)
+
+        key = cache_key(mat)
+        assert PermutationCache(disk_dir=tmp_path).get(key) is None
+        sibling = PermutationCache(
+            disk_dir=tmp_path / "own", fallback_dirs=[tmp_path]
+        )
+        assert sibling.get(key) is None
+        assert PermutationCache.disk_entries(tmp_path) == [
+            {"digest": entry.stem, "error": "unreadable"}
+        ]
+
+        with ReorderService(ServiceConfig(disk_dir=tmp_path)) as svc2:
+            res = svc2.reorder(mat)
+            assert svc2.counters["computed"] == 1  # recomputed, no error
+        assert res.permutation.tobytes() == ref.permutation.tobytes()
+        # the recompute rewrote the entry whole: it reads back again
+        healed = PermutationCache(disk_dir=tmp_path).get(key)
+        assert healed.permutation.tobytes() == ref.permutation.tobytes()
+
 
 class TestInvalidation:
     def test_invalidate_forces_recompute(self, small_grid):

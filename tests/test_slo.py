@@ -1,8 +1,8 @@
-"""Tests for declarative SLOs and their live/offline evaluation surfaces.
+"""Tests for declarative SLOs and their live evaluation surfaces.
 
 Covers the :class:`~repro.telemetry.slo.SLO` primitive (check/burn in both
 directions), signal derivation from metrics snapshots, histogram-summary
-quantiles, health scoring, gauge export, the offline history replay, the
+quantiles, health scoring, gauge export, the
 ``/statusz`` + ``/metrics`` SLO surfaces of :class:`MetricsServer`
 (including uptime and graceful-shutdown state), the per-request quality
 histograms, and the ``repro inspect`` report.
@@ -124,20 +124,6 @@ class TestEvaluate:
         assert ev["slos"]["cache_hit_ratio"]["ok"] is True
         assert ev["slos"]["speculation_drop_rate"]["ok"] is False
         assert ev["slos"]["speculation_drop_rate"]["burn"] > 1.0
-
-    def test_evaluate_history_replays_runs(self):
-        runs = [
-            {"git_sha": "a", "timestamp": "t0",
-             "counters": {"service.cache.hits": 1,
-                          "service.cache.misses": 9}},
-            {"git_sha": "b", "timestamp": "t1",
-             "counters": {"service.cache.hits": 9,
-                          "service.cache.misses": 1}},
-        ]
-        traj = slo.evaluate_history(runs)
-        assert [t["git_sha"] for t in traj] == ["a", "b"]
-        assert traj[0]["evaluation"]["slos"]["cache_hit_ratio"]["ok"] is False
-        assert traj[1]["evaluation"]["slos"]["cache_hit_ratio"]["ok"] is True
 
     def test_format_report_renders(self):
         text = slo.format_report(slo.evaluate(_snapshot(
