@@ -1,8 +1,9 @@
 """Wall-clock benchmarks of the execution layer (real time, not simulated).
 
 Times ``repro.reorder`` per method on the largest generator matrix and
-regenerates the speedup/throughput tables (``speedup.csv``,
-``throughput.csv``); the vectorized kernel must beat the serial loop.
+runs the ``repro bench speedup|throughput`` drivers; the vectorized kernel
+must beat the serial loop.  Their CSVs hold this host's wall times, so
+they go to a temporary directory, not the tracked results.
 """
 
 import pytest
@@ -27,10 +28,10 @@ def test_rcm_wallclock(benchmark, method, largest_name):
     )
 
 
-def test_regenerate_speedup(benchmark, results_dir):
+def test_regenerate_speedup(benchmark, tmp_path):
     rows = benchmark.pedantic(
         speedup_mod.main,
-        args=(["--csv", str(results_dir / "speedup.csv")],),
+        args=(["--csv", str(tmp_path / "speedup.csv")],),
         rounds=1, iterations=1,
     )
     by_method = {r["method"]: r for r in rows}
@@ -39,10 +40,10 @@ def test_regenerate_speedup(benchmark, results_dir):
     assert by_method["vectorized"]["speedup_vs_serial"] > 1.0
 
 
-def test_regenerate_throughput(benchmark, results_dir):
+def test_regenerate_throughput(benchmark, tmp_path):
     rows = benchmark.pedantic(
         throughput_mod.main,
-        args=(["--quick", "--csv", str(results_dir / "throughput.csv")],),
+        args=(["--quick", "--csv", str(tmp_path / "throughput.csv")],),
         rounds=1, iterations=1,
     )
     assert all(r["matrices_per_s"] > 0 for r in rows)

@@ -269,16 +269,6 @@ def cmd_profile(args) -> int:
             telemetry.profile_to_collapsed(prof.folded()))
         print(f"\nwrote collapsed stacks to {args.flame} "
               f"(flamegraph.pl / inferno ready)")
-    if args.speedscope:
-        import json
-
-        Path(args.speedscope).write_text(json.dumps(
-            telemetry.profile_to_speedscope(
-                prof.folded(),
-                name=f"repro profile {args.matrix or args.matrix_file}",
-            )))
-        print(f"wrote speedscope profile to {args.speedscope} "
-              f"(open at https://www.speedscope.app)")
     return 0
 
 
@@ -912,10 +902,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sampling-profiler rate (default: ~67 Hz)")
     p.add_argument("--flame", default=None, metavar="PATH.folded",
                    help="write folded stacks (collapsed format) for "
-                        "flamegraph.pl / inferno / speedscope")
-    p.add_argument("--speedscope", default=None, metavar="PATH.json",
-                   help="write a speedscope sampled-profile JSON "
-                        "(browse at https://www.speedscope.app)")
+                        "flamegraph.pl / inferno / speedscope.app")
     p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser("compare", help="compare ordering heuristics")

@@ -22,20 +22,15 @@ global permutation each component's RCM block is reversed *within itself*.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro import backends
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.graph import connected_components
-from repro.sparse.bandwidth import (
-    bandwidth_after,
-    envelope_after,
-    envelope_size,
-)
+from repro.sparse.bandwidth import bandwidth_after
 from repro.sparse.validate import check_batch
 from repro.core.batches import BatchConfig
 from repro.core.peripheral import find_pseudo_peripheral
@@ -131,23 +126,24 @@ class ReorderResult:
 
 
 def _validate(
-    mats: Sequence[CSRMatrix], *, symmetrize: bool,
-    positions: Optional[Sequence[int]] = None,
-) -> Tuple[List[CSRMatrix], np.ndarray]:
-    """The validate phase of one matrix or of a batch.
+    mat: CSRMatrix, *, symmetrize: bool, position: Optional[int],
+    phase_ns: Dict[str, int],
+) -> Tuple[CSRMatrix, int]:
+    """The validate phase of one call, timed into ``phase_ns``.
 
     Symmetrizes when asked, then runs
     :func:`~repro.sparse.validate.check_batch`, which raises
-    :class:`ValidationError` for a malformed pattern, named by its
-    ``positions`` entry when given.  Returns the matrices to reorder and
-    their initial bandwidths.
+    :class:`ValidationError` for a malformed pattern, prefixed with
+    ``matrix <position>:`` when the matrix belongs to a caller's batch.
+    Returns the matrix to reorder and its initial bandwidth.
     """
     with telemetry.get().span(
-        "validate", category="api", n_matrices=len(mats),
-        nnz=sum(m.nnz for m in mats),
+        "validate", category="api", into=phase_ns, nnz=mat.nnz
     ):
-        ms = [m.symmetrize() for m in mats] if symmetrize else list(mats)
-        return ms, check_batch(ms, positions)
+        if symmetrize:
+            mat = mat.symmetrize()
+        bws = check_batch([mat], None if position is None else [position])
+        return mat, int(bws[0])
 
 
 def _pick_starts(
@@ -213,22 +209,18 @@ def _reorder_rcm(
     tel = telemetry.get()
     phase_ns: Dict[str, int] = {p: 0 for p in PHASES}
 
-    t_phase = time.perf_counter_ns()
-    (mat,), bws = _validate(
-        [mat], symmetrize=symmetrize,
-        positions=None if _position is None else [_position],
+    mat, init_bw = _validate(
+        mat, symmetrize=symmetrize, position=_position, phase_ns=phase_ns
     )
-    init_bw = int(bws[0])
-    phase_ns["validate"] = time.perf_counter_ns() - t_phase
 
     # transform phase: resolve the power-law pass and, when it applies,
     # reorder the hub-first *relabeled* pattern instead — the relabeling
     # is composed back into the final permutation at assembly
     plan = None
     work = mat
-    t_phase = time.perf_counter_ns()
     with tel.span(
-        "transform", category="api", requested=transform or "none"
+        "transform", category="api", into=phase_ns,
+        requested=transform or "none",
     ) as sp:
         if transform is not None:
             if resolve_transform(transform, mat) == "powerlaw":
@@ -239,58 +231,52 @@ def _reorder_rcm(
             applied=plan.kind if plan is not None else "none",
             n_hubs=plan.n_hubs if plan is not None else 0,
         )
-    phase_ns["transform"] = time.perf_counter_ns() - t_phase
 
-    t_phase = time.perf_counter_ns()
-    with tel.span("components", category="api") as sp:
+    with tel.span("components", category="api", into=phase_ns) as sp:
         n_comps, labels = connected_components(work)
         sizes = np.bincount(labels, minlength=n_comps).tolist()
         sp.set(n_components=n_comps)
-    phase_ns["components"] = time.perf_counter_ns() - t_phase
     if isinstance(start, (int, np.integer)) and n_comps != 1:
         raise ValidationError(
             "explicit start node requires a connected matrix; "
             f"found {n_comps} components"
         )
 
-    t_phase = time.perf_counter_ns()
-    with tel.span("start-selection", category="api"):
+    with tel.span("start-selection", category="api", into=phase_ns):
         if isinstance(start, (int, np.integer)):
             starts = [int(start)]
         else:
             starts = _pick_starts(
                 work, labels, n_comps, start, prefer_hub=plan is not None
             )
-    phase_ns["start-selection"] = time.perf_counter_ns() - t_phase
 
     perm_parts: List[np.ndarray] = []
     stats: List[RunStats] = []
 
     if backend.run_matrix is not None:
-        t_phase = time.perf_counter_ns()
         with tel.span(
-            "ordering", category="api", method=method, size=sum(sizes)
+            "ordering", category="api", into=phase_ns, method=method,
+            size=sum(sizes),
         ):
             perm_parts = list(backend.run_matrix(
                 work, starts, sizes=sizes, n_workers=n_workers,
                 config=config, seed=seed,
             ))
-        phase_ns["ordering"] = time.perf_counter_ns() - t_phase
     else:
         for s, total in zip(starts, sizes):
-            t_phase = time.perf_counter_ns()
-            with tel.span("ordering", category="api", method=method, size=total):
+            with tel.span(
+                "ordering", category="api", into=phase_ns, method=method,
+                size=total,
+            ):
                 part, comp_stats = backend.run_component(
                     work, s, total=total, n_workers=n_workers,
                     config=config, seed=seed,
                 )
-            phase_ns["ordering"] += time.perf_counter_ns() - t_phase
             perm_parts.append(part)
             if comp_stats is not None:
                 stats.append(comp_stats)
 
-    t_phase = time.perf_counter_ns()
-    with tel.span("assembly", category="api"):
+    with tel.span("assembly", category="api", into=phase_ns):
         perm = (
             np.concatenate(perm_parts) if perm_parts
             else np.zeros(0, dtype=np.int64)
@@ -300,19 +286,12 @@ def _reorder_rcm(
             # caller receives indexes the original matrix
             perm = plan.relabel[perm]
         reord_bw = bandwidth_after(mat, perm)
-        if tel.enabled:
-            # per-request quality deltas: how much this request actually
-            # bought, exported on /metrics
-            if init_bw > 0:
-                tel.histogram(
-                    "request.bandwidth_reduction", buckets=_REDUCTION_BUCKETS
-                ).observe(1.0 - reord_bw / init_bw)
-            init_env = envelope_size(mat)
-            if init_env > 0:
-                tel.histogram(
-                    "request.envelope_reduction", buckets=_REDUCTION_BUCKETS
-                ).observe(1.0 - envelope_after(mat, perm) / init_env)
-    phase_ns["assembly"] = time.perf_counter_ns() - t_phase
+        if tel.enabled and init_bw > 0:
+            # per-request quality delta, exported on /metrics; it reuses
+            # the two bandwidths this phase already has
+            tel.histogram(
+                "request.bandwidth_reduction", buckets=_REDUCTION_BUCKETS
+            ).observe(1.0 - reord_bw / init_bw)
 
     return ReorderResult(
         permutation=perm,

@@ -50,7 +50,6 @@ the full hierarchy.
 
 from __future__ import annotations
 
-import time
 from pathlib import Path
 from typing import List, Optional, Sequence, Union
 
@@ -220,22 +219,10 @@ def reorder(
     check_choice("algorithm", algorithm, ALGORITHMS)
     check_min("n_workers", n_workers, 1)
     cache = _resolve_cache(cache, shards)
-
-    def compute() -> ReorderResult:
-        if algorithm == "rcm":
-            return _reorder_rcm(
-                mat, method=method, start=start, n_workers=n_workers,
-                config=config, symmetrize=symmetrize, seed=seed,
-                transform=transform,
-            )
-        check_choice("method", method, _DIRECT_METHODS)
-        check_start(start, max(mat.n, 1))
-        if transform is not None:
-            raise ValidationError(
-                "transform is an RCM-only option; "
-                f"algorithm {algorithm!r} does not support it"
-            )
-        return _reorder_direct(mat, algorithm, symmetrize=symmetrize)
+    options = dict(
+        algorithm=algorithm, method=method, start=start, n_workers=n_workers,
+        config=config, symmetrize=symmetrize, seed=seed, transform=transform,
+    )
 
     # every spontaneous call gets a trace identity (service requests
     # arrive with one already active and inherit it unchanged)
@@ -245,7 +232,7 @@ def reorder(
     )
     with trace_scope:
         if cache is None:
-            return compute()
+            return _compute_one(mat, **options)
 
         from repro.service.keys import cache_key
 
@@ -253,14 +240,37 @@ def reorder(
             mat, algorithm=algorithm, method=method, start=start,
             symmetrize=symmetrize, transform=transform,
         )
-        t0 = time.perf_counter_ns()
         hit = cache.get(key)
         if hit is not None:
-            hit.phase_ns = {"cache": time.perf_counter_ns() - t0}
             return hit
-        res = compute()
+        res = _compute_one(mat, **options)
         cache.put(key, res)
         return res
+
+
+def _compute_one(
+    mat: CSRMatrix, *, algorithm: str, method: str, start: Union[int, str],
+    n_workers: int, config: Optional[BatchConfig], symmetrize: bool,
+    seed: int, transform: Optional[str], position: Optional[int] = None,
+) -> ReorderResult:
+    """One uncached call of either pipeline; ``position`` is the
+    matrix's index in a caller's batch, which a validation error names."""
+    if algorithm == "rcm":
+        return _reorder_rcm(
+            mat, method=method, start=start, n_workers=n_workers,
+            config=config, symmetrize=symmetrize, seed=seed,
+            transform=transform, _position=position,
+        )
+    check_choice("method", method, _DIRECT_METHODS)
+    check_start(start, max(mat.n, 1))
+    if transform is not None:
+        raise ValidationError(
+            "transform is an RCM-only option; "
+            f"algorithm {algorithm!r} does not support it"
+        )
+    return _reorder_direct(
+        mat, algorithm, symmetrize=symmetrize, _position=position
+    )
 
 
 def reorder_many(
@@ -330,12 +340,8 @@ def reorder_many(
                     m, algorithm=algorithm, method=method, start=start,
                     symmetrize=symmetrize, transform=transform,
                 )
-                t0 = time.perf_counter_ns()
-                hit = cache.get(keys[i])
-                if hit is not None:
-                    hit.phase_ns = {"cache": time.perf_counter_ns() - t0}
-                    results[i] = hit
-                else:
+                results[i] = cache.get(keys[i])
+                if results[i] is None:
                     pend.append(i)
         else:
             pend = list(range(len(mats)))
@@ -374,16 +380,13 @@ def _compute_many(
         or transform is not None
     )
     if one_by_one:
-        # validated here as well as inside each call, so the error names
-        # the matrix's index
-        mats, _ = _validate(mats, symmetrize=symmetrize, positions=positions)
         return [
-            reorder(
+            _compute_one(
                 m, algorithm=algorithm, method=method, start=start,
-                n_workers=n_workers, config=config, seed=seed,
-                transform=transform,
+                n_workers=n_workers, config=config, symmetrize=symmetrize,
+                seed=seed, transform=transform, position=pos,
             )
-            for m in mats
+            for m, pos in zip(mats, positions)
         ]
 
     resolved = backends.AUTO_METHOD if method == "auto" else method
@@ -410,32 +413,35 @@ def _compute_many(
 
 
 def _reorder_direct(
-    mat: CSRMatrix, algorithm: str, *, symmetrize: bool
+    mat: CSRMatrix, algorithm: str, *, symmetrize: bool,
+    _position: Optional[int] = None,
 ) -> ReorderResult:
-    """Run a whole-matrix heuristic through the same result pipeline."""
+    """Run a whole-matrix heuristic through the same result pipeline.
+
+    ``_position`` is the private batch index that
+    :func:`repro.core.api._reorder_rcm` takes too: a validation error
+    names it.
+    """
     tel = telemetry.get()
     phase_ns = {p: 0 for p in PHASES}
 
-    t_phase = time.perf_counter_ns()
-    (mat,), bws = _validate([mat], symmetrize=symmetrize)
-    phase_ns["validate"] = time.perf_counter_ns() - t_phase
-
-    t_phase = time.perf_counter_ns()
-    with tel.span("ordering", category="api", method=algorithm, size=mat.n):
+    mat, init_bw = _validate(
+        mat, symmetrize=symmetrize, position=_position, phase_ns=phase_ns
+    )
+    with tel.span(
+        "ordering", category="api", into=phase_ns, method=algorithm,
+        size=mat.n,
+    ):
         perm = np.asarray(_algorithm_fn(algorithm)(mat), dtype=np.int64)
-    phase_ns["ordering"] = time.perf_counter_ns() - t_phase
-
-    t_phase = time.perf_counter_ns()
-    with tel.span("assembly", category="api"):
+    with tel.span("assembly", category="api", into=phase_ns):
         reord_bw = bandwidth_after(mat, perm)
-    phase_ns["assembly"] = time.perf_counter_ns() - t_phase
 
     return ReorderResult(
         permutation=perm,
         method="direct",
         start_nodes=[],
         component_sizes=[],
-        initial_bandwidth=int(bws[0]),
+        initial_bandwidth=init_bw,
         reordered_bandwidth=reord_bw,
         stats=[],
         phase_ns=phase_ns,

@@ -79,8 +79,17 @@ def _entry_from_result(key: CacheKey, result: ReorderResult) -> dict:
     }
 
 
-def _result_from_entry(entry: dict) -> ReorderResult:
-    """Reconstruct a fresh result (caller owns the permutation copy)."""
+#: the metadata fields :func:`_result_from_entry` reads; a disk entry
+#: lacking any of them was written by another schema and is a miss
+_RESULT_FIELDS = (
+    "method", "start_nodes", "component_sizes", "initial_bandwidth",
+    "reordered_bandwidth", "algorithm",
+)
+
+
+def _result_from_entry(entry: dict, t0: int) -> ReorderResult:
+    """Reconstruct a fresh result (caller owns the permutation copy),
+    its ``phase_ns`` the one ``cache`` phase: wall ns since ``t0``."""
     return ReorderResult(
         permutation=entry["permutation"].copy(),
         method=entry["method"],
@@ -89,8 +98,9 @@ def _result_from_entry(entry: dict) -> ReorderResult:
         initial_bandwidth=entry["initial_bandwidth"],
         reordered_bandwidth=entry["reordered_bandwidth"],
         stats=[],
-        phase_ns={},
         algorithm=entry["algorithm"],
+        # evaluated last, so the lookup's time includes the copy
+        phase_ns={"cache": time.perf_counter_ns() - t0},
     )
 
 
@@ -169,6 +179,10 @@ class PermutationCache:
         try:
             with np.load(path) as npz:
                 entry = json.loads(bytes(npz["meta"].tobytes()).decode())
+                if not isinstance(entry, dict) or any(
+                    k not in entry for k in _RESULT_FIELDS
+                ):
+                    return None  # another schema's well-formed file
                 entry["permutation"] = np.ascontiguousarray(
                     npz["permutation"], dtype=np.int64
                 )
@@ -196,14 +210,19 @@ class PermutationCache:
     # public API
     # ------------------------------------------------------------------
     def get(self, key: CacheKey) -> Optional[ReorderResult]:
-        """The cached result for ``key``, or ``None`` on a miss."""
+        """The cached result for ``key``, or ``None`` on a miss.
+
+        A hit carries ``phase_ns={"cache": <ns>}``: the wall time of this
+        lookup, disk read included, timed here once for every caller.
+        """
+        t0 = time.perf_counter_ns()
         with self._lock:
             entry = self._entries.get(key.digest)
             if entry is not None:
                 self._entries.move_to_end(key.digest)
                 self.stats.hits += 1
                 self._tel_count("service.cache.hits")
-                return _result_from_entry(entry)
+                return _result_from_entry(entry, t0)
         # slow tier outside the lock: the read is idempotent
         entry = self._disk_read(key.digest)
         promoted = False
@@ -220,7 +239,7 @@ class PermutationCache:
             if promoted:
                 # adopt the resharded entry: one write, into our own tier
                 self._disk_write(key.digest, entry)
-            return _result_from_entry(entry)
+            return _result_from_entry(entry, t0)
         with self._lock:
             self.stats.misses += 1
             self._tel_count("service.cache.misses")

@@ -9,7 +9,7 @@ public API pipeline, the solver and the benchmark drivers.  It bundles:
   (``perf_counter_ns``), near-zero overhead while disabled;
 * :mod:`repro.telemetry.metrics` — process-wide counters / gauges /
   histograms generalizing :class:`~repro.machine.stats.RunStats`;
-* :mod:`repro.telemetry.events` — structured JSONL sink and reader;
+* :mod:`repro.telemetry.events` — structured JSONL writer and reader;
 * :mod:`repro.telemetry.export` — renders real spans in the simulator's
   ASCII-Gantt and Chrome-tracing/Perfetto formats;
 * :mod:`repro.telemetry.context` — per-request :class:`TraceContext`
@@ -41,7 +41,6 @@ from typing import Optional, Union
 from repro.telemetry.spans import SpanRecord, Tracer, NULL_SPAN
 from repro.telemetry.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.telemetry.events import (
-    JsonlSink,
     git_sha,
     host_info,
     read_jsonl,
@@ -66,7 +65,6 @@ from repro.telemetry.export import (
     lane_assignment,
     phase_totals_ms,
     profile_to_collapsed,
-    profile_to_speedscope,
     spans_gantt,
     spans_to_chrome_tracing,
     spans_to_trace_events,
@@ -96,7 +94,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "JsonlSink",
     "git_sha",
     "host_info",
     "read_jsonl",
@@ -115,7 +112,6 @@ __all__ = [
     "lane_assignment",
     "phase_totals_ms",
     "profile_to_collapsed",
-    "profile_to_speedscope",
     "spans_gantt",
     "spans_to_chrome_tracing",
     "spans_to_trace_events",
@@ -176,9 +172,9 @@ class Telemetry:
 
     # -- export ---------------------------------------------------------
     def snapshot(self) -> dict:
-        """JSON-serializable state: per-phase wall ns + all instruments."""
+        """JSON-serializable state: wall ms per span name + all instruments."""
         return {
-            "phases_ns": self.tracer.phase_totals(),
+            "phases_ms": phase_totals_ms(self.tracer.records()),
             **self.metrics.to_dict(),
         }
 

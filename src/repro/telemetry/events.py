@@ -1,4 +1,4 @@
-"""Structured JSONL event sink and reader.
+"""Structured JSONL event writer and reader.
 
 One event per line, ``type``-discriminated: a ``meta`` header (schema
 version, host info, free-form context), ``span`` events (see
@@ -15,13 +15,11 @@ import json
 import os
 import platform
 import sys
-import threading
 import time
 from pathlib import Path
-from typing import Iterable, List, Optional, Union
+from typing import List, Optional, Union
 
-__all__ = ["JsonlSink", "host_info", "git_sha", "write_events",
-           "read_jsonl", "SCHEMA"]
+__all__ = ["host_info", "git_sha", "write_events", "read_jsonl", "SCHEMA"]
 
 #: schema tag stamped into every ``meta`` event
 SCHEMA = "repro-telemetry/v1"
@@ -59,46 +57,6 @@ def git_sha(default: str = "unknown") -> str:
     return sha if out.returncode == 0 and sha else default
 
 
-class JsonlSink:
-    """Append-only, thread-safe JSON-lines writer."""
-
-    def __init__(self, path: Union[str, Path]) -> None:
-        self.path = Path(path)
-        self._lock = threading.Lock()
-        self._fh = None
-
-    def emit(self, record: dict) -> None:
-        """Write one event as a single JSON line."""
-        line = json.dumps(record, sort_keys=True, default=str)
-        with self._lock:
-            if self._fh is None:
-                self.path.parent.mkdir(parents=True, exist_ok=True)
-                self._fh = self.path.open("w")
-            self._fh.write(line + "\n")
-
-    def emit_many(self, records: Iterable[dict]) -> int:
-        """Write a batch of events; returns how many were written."""
-        n = 0
-        for rec in records:
-            self.emit(rec)
-            n += 1
-        return n
-
-    def close(self) -> None:
-        """Flush and close the underlying file (idempotent)."""
-        with self._lock:
-            if self._fh is not None:
-                self._fh.close()
-                self._fh = None
-
-    def __enter__(self) -> "JsonlSink":
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        self.close()
-        return False
-
-
 def write_events(
     path: Union[str, Path],
     tracer=None,
@@ -108,26 +66,30 @@ def write_events(
     """Dump a full telemetry session to ``path`` as JSONL.
 
     Emits a ``meta`` header (schema + host + caller context), every finished
-    span of ``tracer``, and a closing ``metrics`` snapshot.  Returns the
-    number of lines written.
+    span of ``tracer``, and a closing ``metrics`` snapshot, one JSON object
+    per line.  Returns the number of lines written.
     """
-    with JsonlSink(path) as sink:
-        header = {
-            "type": "meta",
-            "schema": SCHEMA,
-            "unix_time": time.time(),
-            "host": host_info(),
-        }
-        if meta:
-            header["context"] = meta
-        sink.emit(header)
-        n = 1
-        if tracer is not None:
-            n += sink.emit_many(rec.to_event() for rec in tracer.records())
+    header = {
+        "type": "meta",
+        "schema": SCHEMA,
+        "unix_time": time.time(),
+        "host": host_info(),
+    }
+    if meta:
+        header["context"] = meta
+    spans = tracer.records() if tracer is not None else []
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w") as fh:
+        def emit(event: dict) -> None:
+            fh.write(json.dumps(event, sort_keys=True, default=str) + "\n")
+
+        emit(header)
+        for rec in spans:
+            emit(rec.to_event())
         if metrics is not None:
-            sink.emit({"type": "metrics", **metrics.to_dict()})
-            n += 1
-    return n
+            emit({"type": "metrics", **metrics.to_dict()})
+    return 1 + len(spans) + (metrics is not None)
 
 
 def read_jsonl(path: Union[str, Path], *, strict: bool = False) -> List[dict]:

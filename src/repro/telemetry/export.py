@@ -27,39 +27,35 @@ __all__ = [
     "spans_gantt",
     "phase_totals_ms",
     "profile_to_collapsed",
-    "profile_to_speedscope",
 ]
 
 
-def lane_assignment(records: Sequence[SpanRecord]) -> Dict[int, str]:
-    """Dense ``lane index -> label`` map for a span list.
+def _lane_key(r: SpanRecord) -> Tuple[str, int]:
+    return ("w", r.worker) if r.worker is not None else ("t", r.thread_id)
 
-    Worker lanes come first (``worker N``), then one lane per distinct
-    anonymous OS thread (``thread K``), in order of first appearance.
+
+def _lanes(records: Sequence[SpanRecord]) -> Dict[Tuple[str, int], int]:
+    """The one lane map: lane index per :func:`_lane_key`.
+
+    Worker lanes come first, in worker order, then one lane per distinct
+    anonymous OS thread, in order of first appearance.
     """
     workers = sorted({r.worker for r in records if r.worker is not None})
-    lanes = {i: f"worker {w}" for i, w in enumerate(workers)}
-    next_lane = len(lanes)
-    seen_tids: Dict[int, int] = {}
+    lanes = {("w", w): i for i, w in enumerate(workers)}
     for r in records:
-        if r.worker is None and r.thread_id not in seen_tids:
-            seen_tids[r.thread_id] = next_lane
-            lanes[next_lane] = f"thread {len(seen_tids) - 1}"
-            next_lane += 1
+        lanes.setdefault(_lane_key(r), len(lanes))
     return lanes
 
 
-def _lane_of(records: Sequence[SpanRecord]) -> Dict[Union[int, Tuple[str, int]], int]:
-    workers = sorted({r.worker for r in records if r.worker is not None})
-    lane: Dict[Union[int, Tuple[str, int]], int] = {
-        ("w", w): i for i, w in enumerate(workers)
+def lane_assignment(records: Sequence[SpanRecord]) -> Dict[int, str]:
+    """Dense ``lane index -> label`` map for a span list: ``worker N``
+    lanes, then ``thread K`` lanes (see :func:`_lanes`)."""
+    lanes = _lanes(records)
+    n_workers = sum(kind == "w" for kind, _ in lanes)
+    return {
+        i: f"worker {ident}" if kind == "w" else f"thread {i - n_workers}"
+        for (kind, ident), i in lanes.items()
     }
-    next_lane = len(workers)
-    for r in records:
-        if r.worker is None and ("t", r.thread_id) not in lane:
-            lane[("t", r.thread_id)] = next_lane
-            next_lane += 1
-    return lane
 
 
 def spans_to_trace_events(
@@ -74,15 +70,14 @@ def spans_to_trace_events(
     """
     if not records:
         return []
-    lane = _lane_of(records)
+    lane = _lanes(records)
     parents = {r.parent_id for r in records if r.parent_id is not None}
     events: List[TraceEvent] = []
     for r in records:
         if leaves_only and r.span_id in parents:
             continue
-        key = ("w", r.worker) if r.worker is not None else ("t", r.thread_id)
         events.append(
-            (r.start_ns / 1e3, lane[key], r.name, r.duration_ns / 1e3)
+            (r.start_ns / 1e3, lane[_lane_key(r)], r.name, r.duration_ns / 1e3)
         )
     events.sort(key=lambda e: (e[0], e[1]))
     return events
@@ -100,7 +95,7 @@ def spans_to_chrome_tracing(
     ``worker N`` / ``thread K`` instead of bare tids, then one complete
     (``"ph": "X"``) event per span with its attributes under ``args``.
     """
-    lane = _lane_of(records)
+    lane = _lanes(records)
     labels = lane_assignment(records)
     events: List[dict] = [{
         "name": "process_name",
@@ -118,7 +113,6 @@ def spans_to_chrome_tracing(
             "args": {"name": labels[idx]},
         })
     for r in records:
-        key = ("w", r.worker) if r.worker is not None else ("t", r.thread_id)
         events.append({
             "name": r.name,
             "cat": r.category,
@@ -126,7 +120,7 @@ def spans_to_chrome_tracing(
             "ts": r.start_ns / 1e3,          # ns -> µs
             "dur": r.duration_ns / 1e3,
             "pid": 0,
-            "tid": lane[key],
+            "tid": lane[_lane_key(r)],
             "args": dict(r.attrs, dur_ns=r.duration_ns),
         })
     payload = {"traceEvents": events, "displayTimeUnit": "ms"}
@@ -164,47 +158,8 @@ def profile_to_collapsed(profile: Dict[str, int]) -> str:
     """Folded counts in Brendan Gregg's collapsed-stack text format.
 
     One ``seg;seg;seg count`` line per distinct stack, sorted, ready for
-    ``flamegraph.pl`` / speedscope / inferno without any massaging.
+    ``flamegraph.pl`` / inferno, and for https://www.speedscope.app,
+    which opens the collapsed format directly.
     """
     lines = [f"{stack} {count}" for stack, count in sorted(profile.items())]
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def profile_to_speedscope(
-    profile: Dict[str, int], *, name: str = "repro profile"
-) -> dict:
-    """Folded counts as a speedscope ``type="sampled"`` document.
-
-    Weights are sample counts (``unit: "none"``); drop the JSON on
-    https://www.speedscope.app to browse the flamegraph interactively.
-    """
-    frame_index: Dict[str, int] = {}
-    frames: List[dict] = []
-    samples: List[List[int]] = []
-    weights: List[int] = []
-    for stack, count in sorted(profile.items()):
-        idxs = []
-        for seg in stack.split(";"):
-            if seg not in frame_index:
-                frame_index[seg] = len(frames)
-                frames.append({"name": seg})
-            idxs.append(frame_index[seg])
-        samples.append(idxs)
-        weights.append(int(count))
-    return {
-        "$schema": "https://www.speedscope.app/file-format-schema.json",
-        "exporter": "repro-telemetry",
-        "name": name,
-        "shared": {"frames": frames},
-        "profiles": [
-            {
-                "type": "sampled",
-                "name": name,
-                "unit": "none",
-                "startValue": 0,
-                "endValue": sum(weights),
-                "samples": samples,
-                "weights": weights,
-            }
-        ],
-    }

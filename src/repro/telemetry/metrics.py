@@ -76,10 +76,9 @@ class Histogram:
 
     Buckets are Prometheus-style upper bounds (an implicit ``+Inf`` bucket
     always catches the tail), stored non-cumulative internally; the
-    Prometheus renderer cumulates on export.  :meth:`quantile` estimates
-    percentiles from the bucket counts and is total: an empty histogram
-    answers ``0.0`` and a single sample answers itself for every ``q``
-    (no raised edge cases — regression-fenced in ``test_telemetry.py``).
+    Prometheus renderer cumulates on export.  Quantiles are estimated from
+    the :meth:`to_dict` snapshot by
+    :func:`repro.telemetry.slo.quantile_from_summary`.
     """
 
     __slots__ = ("name", "count", "sum", "min", "max", "buckets",
@@ -109,31 +108,6 @@ class Histogram:
             if v > self.max:
                 self.max = v
             self.bucket_counts[bisect.bisect_left(self.buckets, v)] += 1
-
-    def quantile(self, q: float) -> float:
-        """Estimated ``q``-quantile (``0 <= q <= 1``) from the buckets.
-
-        Defined for every state: ``0.0`` when empty, the exact sample when
-        only one was observed, and a bucket-midpoint estimate clamped to
-        the observed ``[min, max]`` otherwise.
-        """
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1]; got {q!r}")
-        with self._lock:
-            if self.count == 0:
-                return 0.0
-            if self.count == 1:
-                return self.min
-            rank = q * (self.count - 1)
-            seen = 0
-            for i, n in enumerate(self.bucket_counts):
-                seen += n
-                if seen > rank:
-                    lo = self.buckets[i - 1] if i > 0 else self.min
-                    hi = self.buckets[i] if i < len(self.buckets) else self.max
-                    est = (lo + hi) / 2.0
-                    return min(max(est, self.min), self.max)
-            return self.max
 
     def merge_dict(self, other: dict) -> None:
         """Fold another histogram's :meth:`to_dict` snapshot into this one

@@ -7,13 +7,10 @@ counts — the collapsed format flamegraph tools eat directly::
     phase:ordering;process:main;cli.py:main;api.py:reorder;... 41
 
 The first segments are *attribution*, not frames: which pipeline phase
-the sampled thread was serving when the tick landed.  Attribution comes
-from a sampler-readable mirror maintained by ``telemetry.spans`` (the
-thread-local span stack is invisible from another thread, so while a
-profiler runs, span enter/exit also update a plain ``{thread_id: ...}``
-dict; CPython's GIL makes the individual dict/list ops atomic, so the
-sampler reads it without locks). The mirror only ticks while a profiler
-is running — when off, a span costs one extra module-global bool check.
+the sampled thread was serving when the tick landed (its innermost open
+``api`` span).  Attribution reads the global tracer's own open-span
+stacks, which are keyed by thread id, so a span costs nothing extra
+whether or not a profiler runs.
 
 Fork workers run their own short-lived ``role="worker"`` sampler per
 task (started by ``begin_worker_capture``) and ship their folded counts
@@ -36,8 +33,6 @@ import threading
 import time
 from typing import Dict, List, Optional
 
-from repro.telemetry import spans as _spans
-
 __all__ = [
     "DEFAULT_HZ",
     "SamplingProfiler",
@@ -47,7 +42,6 @@ __all__ = [
     "active_hz",
     "sample_now",
     "profiler_stats",
-    "reset_profiler",
 ]
 
 DEFAULT_HZ = 67.0
@@ -69,8 +63,13 @@ class SamplingProfiler:
     def __init__(self, hz: float = DEFAULT_HZ, *, role: str = "main") -> None:
         if hz <= 0:
             raise ValueError(f"hz must be positive, got {hz}")
+        from repro import telemetry
+
         self.hz = float(hz)
         self.role = role
+        #: the process-wide telemetry: its tracer's open-span stacks give
+        #: the attribution, its registry takes the profiler's gauges
+        self._tel = telemetry.get()
         self._interval = 1.0 / self.hz
         self._counts: Dict[str, int] = {}
         self._lock = threading.Lock()
@@ -92,11 +91,10 @@ class SamplingProfiler:
         return self._thread is not None and self._thread.is_alive()
 
     def start(self) -> "SamplingProfiler":
-        """Turn on span/context mirroring and launch the sampler thread."""
+        """Launch the sampler thread."""
         if self._thread is not None:
             return self
         self._started_ns = time.perf_counter_ns()
-        _spans._set_mirror(True)
         self._stop.clear()
         self._thread = threading.Thread(
             target=self._run, name=f"repro-profiler-{self.role}", daemon=True
@@ -112,7 +110,6 @@ class SamplingProfiler:
         self._thread.join(timeout=5.0)
         self._thread = None
         self._elapsed_ns = time.perf_counter_ns() - self._started_ns
-        _spans._set_mirror(False)
         if self.role == "main":
             self._export_gauges()
         return self
@@ -139,9 +136,7 @@ class SamplingProfiler:
     def _run(self) -> None:
         while True:
             try:
-                t0 = time.perf_counter_ns()
-                self._take_sample()
-                self._sample_ns += time.perf_counter_ns() - t0
+                self.sample_now()
                 if self.role == "main":
                     self._export_gauges()
             except Exception:  # never let a bad tick kill the sampler
@@ -163,13 +158,14 @@ class SamplingProfiler:
         self._sample_ns += time.perf_counter_ns() - t0
 
     def _take_sample(self) -> None:
+        stacks = self._tel.tracer._stacks
         own = self._thread.ident if self._thread is not None else None
         new: Dict[str, int] = {}
         n = 0
         for tid, frame in sys._current_frames().items():
             if tid == own:
                 continue
-            key = self._fold(tid, frame)
+            key = self._fold(stacks.get(tid), frame)
             new[key] = new.get(key, 0) + 1
             n += 1
         with self._lock:
@@ -177,17 +173,16 @@ class SamplingProfiler:
                 self._counts[key] = self._counts.get(key, 0) + count
             self._samples += n
 
-    def _fold(self, tid: int, frame) -> str:
+    def _fold(self, stack: Optional[list], frame) -> str:
         segs: List[str] = []
-        stack = _spans._SPAN_MIRROR.get(tid)
-        if stack:
-            phase = None
-            for name, category in reversed(stack):
-                if category == "api":  # innermost pipeline phase
-                    phase = name
+        # snapshot: the sampled thread keeps pushing and popping its stack
+        spans = list(stack) if stack else ()
+        if spans:
+            phase = spans[-1]._name  # innermost span of any category...
+            for sp in reversed(spans):
+                if sp._category == "api":  # ...unless a pipeline phase is open
+                    phase = sp._name
                     break
-            if phase is None:
-                phase = stack[-1][0]  # innermost span of any category
             segs.append(f"phase:{phase}")
         segs.append(f"process:{self.role}")
         labels: List[str] = []
@@ -254,9 +249,7 @@ class SamplingProfiler:
 
     def _export_gauges(self) -> None:
         try:
-            from repro import telemetry
-
-            metrics = telemetry.get().metrics
+            metrics = self._tel.metrics
             metrics.gauge("telemetry.profiler.samples").set(self.sample_count)
             metrics.gauge("telemetry.profiler.overhead_pct").set(
                 round(self.overhead_pct, 4)
@@ -294,12 +287,6 @@ def stop_profiler() -> Optional[SamplingProfiler]:
     if prof is not None:
         prof.stop()
     return prof
-
-
-def reset_profiler() -> None:
-    """Test hook: stop whatever is active and clear the mirrors."""
-    stop_profiler()
-    _spans._set_mirror(False)
 
 
 def get_profiler() -> Optional[SamplingProfiler]:
@@ -346,8 +333,8 @@ def begin_worker_profile(hz: Optional[float]) -> None:
     """Start a fresh ``role="worker"`` sampler for one fork-pool task.
 
     Any profiler object inherited across the fork is discarded (its
-    thread died with the fork), and the attribution mirrors are reset so
-    stale parent-process entries cannot leak into worker samples.
+    thread died with the fork).  The caller has already cleared the
+    tracer, so the parent's open spans cannot leak into worker samples.
     """
     global _ACTIVE
     with _ACTIVE_LOCK:
@@ -355,7 +342,6 @@ def begin_worker_profile(hz: Optional[float]) -> None:
         _ACTIVE = None
     if old is not None:
         old.discard()
-    _spans._set_mirror(False)
     if not hz:
         return
     prof = SamplingProfiler(hz=hz, role="worker")

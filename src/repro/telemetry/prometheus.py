@@ -159,7 +159,6 @@ METRIC_INVENTORY: Tuple[Tuple[str, str, str], ...] = (
     ("vectorized.nodes_ordered", "counter", "nodes placed in the permutation"),
     ("vectorized.frontier", "histogram", "BFS frontier width per level"),
     ("request.bandwidth_reduction", "histogram", "per-request relative bandwidth reduction (1 - after/before)"),
-    ("request.envelope_reduction", "histogram", "per-request relative envelope (profile) reduction"),
     ("slo.health_score", "gauge", "fraction of evaluable SLOs currently met"),
     ("slo.*", "gauge", "per-SLO burn (1.0 = at objective) and ok flag"),
     ("cg.iterations", "counter", "conjugate-gradient iterations"),

@@ -24,7 +24,6 @@ __all__ = [
     "collect_signals",
     "evaluate",
     "export_gauges",
-    "format_report",
     "quantile_from_summary",
 ]
 
@@ -107,9 +106,10 @@ DEFAULT_SLOS: Tuple[SLO, ...] = (
 def quantile_from_summary(summary: Optional[dict], q: float) -> Optional[float]:
     """Estimated ``q``-quantile from a ``Histogram.to_dict()`` snapshot.
 
-    Mirrors :meth:`repro.telemetry.metrics.Histogram.quantile` but works on
-    the serialized form a registry snapshot carries.  ``None`` when the
-    snapshot is absent or empty.
+    The one quantile estimator: the bucket midpoint holding rank
+    ``q * (count - 1)``, clamped to the observed ``[min, max]``; a single
+    sample answers itself for every ``q``.  ``None`` when the snapshot is
+    absent or empty.
     """
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"quantile must be in [0, 1]; got {q!r}")
@@ -219,30 +219,3 @@ def export_gauges(registry, evaluation: dict) -> None:
             continue
         registry.gauge(f"slo.{name}.burn").set(doc["burn"])
         registry.gauge(f"slo.{name}.ok").set(int(doc["ok"]))
-
-
-def format_report(evaluation: dict) -> str:
-    """The evaluation as an aligned, human-readable table."""
-    lines = [
-        f"SLO health: {evaluation['health_score']:.2f} "
-        f"({evaluation['met']}/{evaluation['evaluated']} evaluable met)",
-        "",
-    ]
-    name_w = max(len(n) for n in evaluation["slos"])
-    header = (f"{'slo':<{name_w}} {'value':>10} {'objective':>10} "
-              f"{'burn':>6}  verdict")
-    lines.append(header)
-    lines.append("-" * len(header))
-    for name in sorted(evaluation["slos"]):
-        doc = evaluation["slos"][name]
-        value = "-" if doc["value"] is None else f"{doc['value']:10.4f}"
-        burn = "-" if doc["burn"] is None else f"{doc['burn']:6.2f}"
-        bound = ("<=" if doc["direction"] == "max" else ">=")
-        verdict = (
-            "n/a" if doc["ok"] is None else ("ok" if doc["ok"] else "VIOLATED")
-        )
-        lines.append(
-            f"{name:<{name_w}} {value:>10} {bound}{doc['objective']:>8.4f} "
-            f"{burn:>6}  {verdict}"
-        )
-    return "\n".join(lines)

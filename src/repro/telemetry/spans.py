@@ -8,7 +8,9 @@ coordination) and is safe to use from many threads at once.
 
 The disabled path is near-free: :meth:`Tracer.span` returns a shared no-op
 context manager without allocating, so instrumentation can stay in hot code
-permanently.
+permanently.  A pipeline phase opens its span with ``into=phase_ns``: the
+span is then the phase's only timer, and the result's ``phase_ns`` is filled
+from the span's own clock reads, traced or not.
 """
 
 from __future__ import annotations
@@ -31,29 +33,6 @@ _CONTEXT = threading.local()
 def current_trace():
     """The :class:`TraceContext` active on this thread, or ``None``."""
     return getattr(_CONTEXT, "value", None)
-
-
-# ----------------------------------------------------------------------
-# sampling-profiler attribution mirrors
-# ----------------------------------------------------------------------
-# The span stack lives in thread-locals, which the profiler's sampler
-# thread cannot read. While a profiler runs (``_MIRROR_ON``), span
-# enter/exit additionally maintain this plain ``{thread_id: ...}`` dict;
-# each individual dict / list operation is atomic under the GIL, so the
-# sampler reads it lock-free. When no profiler runs the only cost on the
-# span hot path is one module-global bool check.
-
-_MIRROR_ON = False
-#: thread id -> list of ``(span_name, category)``, innermost last
-_SPAN_MIRROR: Dict[int, List[tuple]] = {}
-
-
-def _set_mirror(on: bool) -> None:
-    """Toggle mirror maintenance (called by the profiler's start/stop)."""
-    global _MIRROR_ON
-    _MIRROR_ON = bool(on)
-    if not on:
-        _SPAN_MIRROR.clear()
 
 
 @dataclass
@@ -138,16 +117,50 @@ class _NullSpan:
 NULL_SPAN = _NullSpan()
 
 
-class _ActiveSpan:
+class _PhaseTimer:
+    """Adds one phase's wall time to a ``phase_ns`` dict; records nothing.
+
+    What :meth:`Tracer.span` returns for an ``into=`` span while tracing
+    is disabled: the same two ``perf_counter_ns`` reads a recorded span
+    takes, without a record.
+    """
+
+    __slots__ = ("_name", "_into", "_start_ns")
+
+    span_id = None
+
+    def __init__(self, name: str, into: Optional[Dict[str, int]]) -> None:
+        self._name = name
+        self._into = into
+
+    def set(self, **attrs) -> None:
+        """Ignore attributes (nothing is recorded)."""
+
+    def __enter__(self) -> "_PhaseTimer":
+        self._start_ns = time.perf_counter_ns()
+        return self
+
+    def __exit__(self, *exc) -> bool:
+        self._add(time.perf_counter_ns() - self._start_ns)
+        return False
+
+    def _add(self, duration_ns: int) -> None:
+        into = self._into
+        if into is not None:
+            into[self._name] = into.get(self._name, 0) + duration_ns
+
+
+class _ActiveSpan(_PhaseTimer):
     """Context manager measuring one span on the owning thread's stack."""
 
-    __slots__ = ("_tracer", "_name", "_category", "_worker", "_attrs",
-                 "_span_id", "_parent_id", "_start_ns")
+    __slots__ = ("_tracer", "_category", "_worker", "_attrs",
+                 "_span_id", "_parent_id")
 
     def __init__(self, tracer: "Tracer", name: str, category: str,
-                 worker: Optional[int], attrs: Dict[str, Any]) -> None:
+                 worker: Optional[int], attrs: Dict[str, Any],
+                 into: Optional[Dict[str, int]]) -> None:
+        super().__init__(name, into)
         self._tracer = tracer
-        self._name = name
         self._category = category
         self._worker = worker
         self._attrs = attrs
@@ -162,28 +175,28 @@ class _ActiveSpan:
         return self._span_id
 
     def __enter__(self) -> "_ActiveSpan":
-        tr = self._tracer
-        stack = tr._stack()
-        self._parent_id = stack[-1] if stack else None
-        self._span_id = next(tr._ids)
-        stack.append(self._span_id)
-        if _MIRROR_ON:
-            _SPAN_MIRROR.setdefault(threading.get_ident(), []).append(
-                (self._name, self._category)
-            )
+        stacks = self._tracer._stacks
+        tid = threading.get_ident()
+        stack = stacks.get(tid)
+        if stack is None:
+            stack = stacks[tid] = []
+        self._parent_id = stack[-1]._span_id if stack else None
+        self._span_id = next(self._tracer._ids)
+        stack.append(self)
         self._start_ns = time.perf_counter_ns()
         return self
 
     def __exit__(self, *exc) -> bool:
         end = time.perf_counter_ns()
         tr = self._tracer
-        stack = tr._stack()
-        if stack and stack[-1] == self._span_id:
+        tid = threading.get_ident()
+        stack = tr._stacks.get(tid)
+        if stack and stack[-1] is self:
             stack.pop()
-        if _MIRROR_ON:
-            mirror = _SPAN_MIRROR.get(threading.get_ident())
-            if mirror:
-                mirror.pop()
+            if not stack:
+                tr._stacks.pop(tid, None)
+        duration = end - self._start_ns
+        self._add(duration)
         ctx = getattr(_CONTEXT, "value", None)
         rec = SpanRecord(
             span_id=self._span_id,
@@ -191,8 +204,8 @@ class _ActiveSpan:
             name=self._name,
             category=self._category,
             start_ns=self._start_ns - tr.epoch_ns,
-            duration_ns=end - self._start_ns,
-            thread_id=threading.get_ident(),
+            duration_ns=duration,
+            thread_id=tid,
             worker=self._worker,
             attrs=self._attrs,
             trace_id=ctx.trace_id if ctx is not None else None,
@@ -207,7 +220,9 @@ class Tracer:
     """Collects :class:`SpanRecord` trees from any number of threads.
 
     Timestamps are stored relative to :attr:`epoch_ns` (the construction or
-    last :meth:`clear` time) so exported traces start near zero.
+    last :meth:`clear` time) so exported traces start near zero.  Each
+    thread's open spans form a stack keyed by its thread id, so another
+    thread (the sampling profiler) can read them.
     """
 
     def __init__(self, enabled: bool = False) -> None:
@@ -216,24 +231,26 @@ class Tracer:
         self._ids = itertools.count()
         self._lock = threading.Lock()
         self._records: List[SpanRecord] = []
-        self._local = threading.local()
-
-    def _stack(self) -> List[int]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = self._local.stack = []
-        return stack
+        #: thread id -> that thread's open spans, innermost last; only the
+        #: owning thread pushes and pops, and single dict/list operations
+        #: are atomic under the GIL, so readers need no lock
+        self._stacks: Dict[int, List[_ActiveSpan]] = {}
 
     def span(self, name: str, *, category: str = "phase",
-             worker: Optional[int] = None, **attrs):
+             worker: Optional[int] = None,
+             into: Optional[Dict[str, int]] = None, **attrs):
         """Open a wall-clock span as a context manager.
 
-        Returns the shared :data:`NULL_SPAN` when tracing is disabled —
-        callers can leave ``with tracer.span(...)`` in hot paths.
+        With ``into`` (a ``phase_ns`` dict), the span's duration is added
+        to ``into[name]`` whether tracing is on or off, from the same two
+        ``perf_counter_ns`` reads the recorded span carries, so the dict
+        and the span tree agree exactly.  Without ``into``, a disabled
+        tracer returns the shared :data:`NULL_SPAN`, so callers can leave
+        ``with tracer.span(...)`` in hot paths.
         """
         if not self.enabled:
-            return NULL_SPAN
-        return _ActiveSpan(self, name, category, worker, attrs)
+            return NULL_SPAN if into is None else _PhaseTimer(name, into)
+        return _ActiveSpan(self, name, category, worker, attrs, into)
 
     def records(self) -> List[SpanRecord]:
         """Snapshot of all finished spans (copy; safe to iterate)."""
@@ -241,14 +258,12 @@ class Tracer:
             return list(self._records)
 
     def clear(self) -> None:
-        """Drop all records and restart the epoch."""
+        """Drop all records and open-span stacks; restart the epoch.
+
+        Emptying the stacks matters after ``fork``: a worker that clears
+        its inherited tracer does not start inside the parent's spans.
+        """
         with self._lock:
             self._records.clear()
+            self._stacks.clear()
             self.epoch_ns = time.perf_counter_ns()
-
-    def phase_totals(self) -> Dict[str, int]:
-        """Total nanoseconds per span name (wall, summed over records)."""
-        out: Dict[str, int] = {}
-        for rec in self.records():
-            out[rec.name] = out.get(rec.name, 0) + rec.duration_ns
-        return out

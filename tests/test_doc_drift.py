@@ -364,12 +364,16 @@ class TestProseDocs:
             "--profile",
             "telemetry.profiler.overhead_pct",
             "MAX_PROFILER_OVERHEAD_PCT",
-            "speedscope",
         ):
             assert needle in text, (
                 f"docs/observability.md missing {needle!r}; see the "
                 "'Continuous profiling' / 'Critical path & what-if' "
                 "sections"
+            )
+        # speedscope.app opens the --flame file; the JSON exporter is gone
+        for doc in (DOCS / "observability.md", REPO / "README.md"):
+            assert "--speedscope" not in doc.read_text(), (
+                f"{doc.name} still documents the removed --speedscope flag"
             )
 
     def test_profiler_overhead_budget_doc_matches_gate(self):

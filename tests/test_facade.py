@@ -7,6 +7,7 @@ import pytest
 
 import repro
 from repro.backends import AUTO_METHOD
+from repro.core.batches import BatchConfig
 from repro.facade import ALGORITHMS, reorder
 from repro.matrices import generators as g
 from repro.sparse.csr import coo_to_csr
@@ -131,3 +132,53 @@ class TestQualityPermutation:
 
         with pytest.raises(ValueError):
             quality(small_grid, "rcm", permutation=np.zeros(3, dtype=np.int64))
+
+
+class TestReorderManyPerMatrixPath:
+    """``reorder_many``'s per-matrix loop (non-RCM algorithms, ``config``,
+    a nonzero ``seed``, ``transform``) validates each matrix once, inside
+    its own pipeline run, and still names a bad matrix by its index."""
+
+    OPTIONS = {
+        "transform": {"transform": "powerlaw"},
+        "config": {"config": BatchConfig()},
+        "seed": {"seed": 1},
+        "non-rcm": {"algorithm": "sloan"},
+    }
+
+    @pytest.mark.parametrize("name", sorted(OPTIONS))
+    def test_one_validate_span_per_matrix(self, name, small_grid, hub, star):
+        from repro import telemetry
+
+        opts = self.OPTIONS[name]
+        mats = [small_grid, hub, star]
+        telemetry.reset()
+        telemetry.enable()
+        try:
+            results = repro.reorder_many(mats, **opts)
+            spans = [
+                r for r in telemetry.get().tracer.records()
+                if r.name == "validate"
+            ]
+        finally:
+            telemetry.disable()
+            telemetry.reset()
+        assert [r.attrs["nnz"] for r in spans] == [m.nnz for m in mats]
+        for mat, res in zip(mats, results):
+            ref = reorder(mat, **opts)
+            assert res.permutation.tobytes() == ref.permutation.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(OPTIONS))
+    def test_error_names_the_matrix_index(self, name, path5):
+        from repro.errors import ValidationError
+        from repro.sparse.csr import CSRMatrix
+        from repro.sparse.validate import ASYMMETRIC
+
+        rows = [[1, 3], [0, 2], [1, 3], [2]]  # 0 -> 3 without 3 -> 0
+        bad = CSRMatrix(
+            indptr=np.cumsum([0] + [len(r) for r in rows]),
+            indices=np.concatenate(rows), n=4,
+        )
+        with pytest.raises(ValidationError) as info:
+            repro.reorder_many([path5, bad], **self.OPTIONS[name])
+        assert str(info.value) == f"matrix 1: {ASYMMETRIC}"

@@ -1,16 +1,17 @@
 """Tests for the continuous sampling profiler (``repro.telemetry.profiler``).
 
 Covers the sampler itself (folded-stack aggregation, span/phase
-attribution via the mirror dict, self-measured overhead, gauge export),
-the collapsed/speedscope exporters, the worker-capture round trip, the
-``/debug/flame`` + ``/debug/critpath`` endpoints and the ``profiler:``
-/statusz section, and the acceptance invariant: a ``method="parallel"``
-request produces ONE merged flamegraph holding both parent-process and
-fork-worker stacks with correct phase attribution.
+attribution from the tracer's per-thread span stacks, self-measured
+overhead, gauge export), the collapsed exporter, the worker-capture round
+trip, the ``/debug/flame`` + ``/debug/critpath`` endpoints and the
+``profiler:`` /statusz section, and the acceptance invariant: a
+``method="parallel"`` request produces ONE merged flamegraph holding both
+parent-process and fork-worker stacks with correct phase attribution.
 """
 
 import json
 import os
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -22,17 +23,16 @@ from repro.matrices import generators as g
 from repro.sparse.csr import CSRMatrix
 from repro.telemetry import context as tctx
 from repro.telemetry import profiler
-from repro.telemetry import spans as spans_mod
-from repro.telemetry.export import profile_to_collapsed, profile_to_speedscope
+from repro.telemetry.export import profile_to_collapsed
 
 
 @pytest.fixture(autouse=True)
 def clean_profiler_and_telemetry():
-    profiler.reset_profiler()
+    profiler.stop_profiler()
     telemetry.reset()
     telemetry.disable()
     yield
-    profiler.reset_profiler()
+    profiler.stop_profiler()
     telemetry.reset()
     telemetry.disable()
 
@@ -140,20 +140,31 @@ class TestSamplingProfiler:
         assert gauges["telemetry.profiler.samples"] >= 1
         assert gauges["telemetry.profiler.overhead_pct"] >= 0.0
 
-    def test_mirrors_only_maintained_while_running(self):
+    def test_attribution_reads_the_tracers_stack_from_another_thread(self):
+        # a sample attributes each thread by the spans open on that
+        # thread, read from the tracer's stacks from another thread
         telemetry.enable()
-        assert spans_mod._MIRROR_ON is False
-        with telemetry.span("ordering", category="api"):
-            pass
-        assert spans_mod._SPAN_MIRROR == {}
         prof = profiler.start_profiler(hz=10)
-        assert spans_mod._MIRROR_ON is True
-        with telemetry.span("ordering", category="api"):
-            assert spans_mod._SPAN_MIRROR  # this thread's entry exists
-        profiler.stop_profiler()
-        assert spans_mod._MIRROR_ON is False
-        assert spans_mod._SPAN_MIRROR == {}
-        assert prof.sample_count >= 1
+        opened, release = threading.Event(), threading.Event()
+
+        def serve():
+            with telemetry.span("components", category="api"):
+                opened.set()
+                release.wait(5)
+
+        worker = threading.Thread(target=serve)
+        worker.start()
+        try:
+            assert opened.wait(5)
+            profiler.sample_now()
+        finally:
+            release.set()
+            worker.join(5)
+            profiler.stop_profiler()
+        assert any(
+            k.startswith("phase:components;process:main;")
+            for k in prof.folded()
+        ), sorted(prof.folded())
 
     def test_module_singleton_lifecycle(self):
         assert profiler.get_profiler() is None
@@ -187,22 +198,6 @@ class TestExporters:
             "process:worker;a.py:f 2",
         ]
         assert profile_to_collapsed({}) == ""
-
-    def test_speedscope_document(self):
-        doc = profile_to_speedscope(self.FOLDED, name="t")
-        assert doc["$schema"].startswith("https://www.speedscope.app")
-        (prof,) = doc["profiles"]
-        assert prof["type"] == "sampled"
-        assert prof["endValue"] == 5
-        assert len(prof["samples"]) == len(prof["weights"]) == 2
-        frames = [f["name"] for f in doc["shared"]["frames"]]
-        # every sample's frame indices resolve into the shared table
-        for sample in prof["samples"]:
-            for idx in sample:
-                assert 0 <= idx < len(frames)
-        assert "a.py:f" in frames
-        # the document is valid JSON end to end
-        json.loads(json.dumps(doc))
 
 
 class TestWorkerCaptureRoundTrip:

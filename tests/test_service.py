@@ -12,6 +12,7 @@ invalidation.  The cross-method value battery lives in
 
 from __future__ import annotations
 
+import json
 import sys
 import threading
 
@@ -415,6 +416,75 @@ class TestDiskTier:
         # the recompute rewrote the entry whole: it reads back again
         healed = PermutationCache(disk_dir=tmp_path).get(key)
         assert healed.permutation.tobytes() == ref.permutation.tobytes()
+
+    @pytest.mark.parametrize(
+        "meta", [{}, {"method": "serial"}, [1], "x"],
+        ids=["empty-dict", "method-only", "list", "string"],
+    )
+    def test_foreign_schema_disk_entry_is_a_miss(self, tmp_path, meta):
+        # a well-formed NPZ whose meta is not this cache's entry schema,
+        # e.g. left in a reused disk_dir by another layout
+        mat = grid2d(30, 30)
+        ref = reorder(mat, method="serial")
+        key = cache_key(mat)
+        entry = tmp_path / f"{key.digest}.npz"
+        np.savez(
+            entry, permutation=ref.permutation,
+            meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+        )
+
+        assert PermutationCache(disk_dir=tmp_path).get(key) is None
+        assert PermutationCache.disk_entries(tmp_path) == [
+            {"digest": entry.stem, "error": "unreadable"}
+        ]
+        with ReorderService(ServiceConfig(disk_dir=tmp_path)) as svc:
+            res = svc.reorder(mat)
+            assert svc.counters["computed"] == 1  # recomputed, no error
+        assert res.permutation.tobytes() == ref.permutation.tobytes()
+        healed = PermutationCache(disk_dir=tmp_path).get(key)
+        assert healed.permutation.tobytes() == ref.permutation.tobytes()
+
+
+class TestCacheHitTiming:
+    """A hit is timed once, inside ``PermutationCache.get``: every caller
+    gets ``phase_ns == {"cache": <ns>}``."""
+
+    def test_service_warm_hit_carries_cache_phase(self, tel, medium_grid):
+        with ReorderService() as svc:
+            cold = svc.reorder(medium_grid)
+            warm = svc.reorder(medium_grid)
+        assert "cache" not in cold.phase_ns
+        assert set(warm.phase_ns) == {"cache"}
+        assert warm.phase_ns["cache"] > 0
+        # the warm-hit histogram observes that same measurement
+        hist = tel.metrics.to_dict()["histograms"]["service.hit_latency_ms"]
+        assert hist["count"] == 1
+        assert hist["sum"] == warm.phase_ns["cache"] / 1e6
+
+    def test_sharded_service_disk_hit_carries_cache_phase(
+        self, tmp_path, medium_grid
+    ):
+        cfg = ServiceConfig(disk_dir=tmp_path)
+        with ReorderService(cfg, shards=2) as svc:
+            svc.reorder(medium_grid)
+        with ReorderService(cfg, shards=2) as svc:
+            warm = svc.reorder(medium_grid)
+            assert svc.cache.stats_dict()["disk_hits"] == 1
+        assert warm.phase_ns["cache"] > 0
+
+    def test_facade_warm_hits_carry_cache_phase(
+        self, tmp_path, small_grid, medium_grid
+    ):
+        cache = PermutationCache()
+        reorder(medium_grid, cache=cache)
+        assert reorder(medium_grid, cache=cache).phase_ns["cache"] > 0
+        hits = reorder_many([medium_grid, small_grid], cache=cache)
+        assert set(hits[0].phase_ns) == {"cache"}
+        assert "cache" not in hits[1].phase_ns  # computed
+        # a path spec builds a fresh cache per call: the second is a disk hit
+        reorder(small_grid, cache=str(tmp_path), shards=2)
+        disk = reorder(small_grid, cache=str(tmp_path), shards=2)
+        assert disk.phase_ns["cache"] > 0
 
 
 class TestInvalidation:

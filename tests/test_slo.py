@@ -125,14 +125,6 @@ class TestEvaluate:
         assert ev["slos"]["speculation_drop_rate"]["ok"] is False
         assert ev["slos"]["speculation_drop_rate"]["burn"] > 1.0
 
-    def test_format_report_renders(self):
-        text = slo.format_report(slo.evaluate(_snapshot(
-            {"service.cache.hits": 1, "service.cache.misses": 9}
-        )))
-        assert "SLO health" in text
-        assert "cache_hit_ratio" in text
-        assert "VIOLATED" in text
-
 
 class TestExportGauges:
     def test_health_always_exported(self):
@@ -198,12 +190,12 @@ class TestRequestQualityHistograms:
         repro.reorder(medium_grid, method="serial")
         hists = telemetry.get().snapshot()["histograms"]
         bw = hists["request.bandwidth_reduction"]
-        env = hists["request.envelope_reduction"]
         assert bw["count"] == 1
-        assert env["count"] == 1
         # RCM on a grid must not make quality worse
         assert bw["min"] >= 0.0
-        assert env["min"] >= 0.0
+        # the envelope is not recomputed per request; `repro inspect`
+        # reports it on demand
+        assert "request.envelope_reduction" not in hists
 
     def test_speculation_efficiency_gauge_set_by_threads_run(self, medium_grid):
         import repro

@@ -2,19 +2,23 @@
 
 Covers the span tracer (hierarchy, thread safety, disabled-mode no-op),
 the metrics registry (concurrent counters, RunStats absorption), the JSONL
-event sink round-trip, the exporters, the instrumented library paths and
+event round-trip, the exporters, the instrumented library paths and
 the ``repro profile`` CLI.
 """
 
 import json
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
 
-from repro import telemetry
+from repro import backends, telemetry
+from repro.telemetry import profiler
 from repro.telemetry.spans import Tracer, NULL_SPAN
 from repro.telemetry.metrics import MetricsRegistry
+from repro.telemetry.slo import quantile_from_summary
 from repro.telemetry.events import read_jsonl, write_events, SCHEMA
 from repro.telemetry.export import (
     lane_assignment,
@@ -100,6 +104,66 @@ class TestTracer:
             if r.name == "nested":
                 assert r.parent_id == outer[r.thread_id].span_id
 
+    def test_thread_stacks_under_contention(self):
+        # more threads than cores push and pop their own stacks while
+        # another thread samples all of them, at a tiny switch interval
+        telemetry.enable()
+        tr = telemetry.get().tracer
+        n_threads, rounds = 8, 200
+        phases = [{} for _ in range(n_threads)]
+        errors = []
+        done = threading.Event()
+        prof = profiler.SamplingProfiler(hz=1)
+
+        def work(i):
+            for k in range(rounds):
+                with tr.span("outer", worker=i, into=phases[i], k=k):
+                    with tr.span("inner", worker=i, into=phases[i], k=k):
+                        pass
+
+        def sample():
+            while not done.is_set():
+                try:
+                    prof.sample_now()
+                except Exception as exc:  # a torn read of a stack
+                    errors.append(exc)
+
+        workers = [
+            threading.Thread(target=work, args=(i,)) for i in range(n_threads)
+        ]
+        sampler = threading.Thread(target=sample)
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            sampler.start()
+            for t in workers:
+                t.start()
+            for t in workers:
+                t.join(60)
+            done.set()
+            sampler.join(60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in workers + [sampler])
+        assert errors == []
+        assert prof.sample_count > 0
+        recs = tr.records()
+        outer = {
+            (r.worker, r.attrs["k"]): r.span_id
+            for r in recs if r.name == "outer"
+        }
+        inner = [r for r in recs if r.name == "inner"]
+        assert len(outer) == len(inner) == n_threads * rounds
+        for r in inner:
+            assert r.parent_id == outer[(r.worker, r.attrs["k"])]
+        for i, phase_ns in enumerate(phases):
+            for name in ("outer", "inner"):
+                assert phase_ns[name] == sum(
+                    r.duration_ns for r in recs
+                    if r.worker == i and r.name == name
+                )
+        assert tr._stacks == {}
+
     def test_clear_resets_epoch_and_records(self):
         tr = Tracer(enabled=True)
         with tr.span("a"):
@@ -115,9 +179,35 @@ class TestTracer:
         for _ in range(3):
             with tr.span("p"):
                 pass
-        totals = tr.phase_totals()
+        totals = phase_totals_ms(tr.records())
         assert set(totals) == {"p"}
-        assert totals["p"] >= 0
+        assert totals["p"] == pytest.approx(
+            sum(r.duration_ns for r in tr.records()) / 1e6
+        )
+
+    def test_into_times_while_disabled_without_records(self):
+        tr = Tracer(enabled=False)
+        phase_ns = {"p": 0}
+        with tr.span("p", into=phase_ns) as sp:
+            sp.set(ignored=True)
+            time.sleep(0.001)
+        assert phase_ns["p"] >= 1_000_000
+        assert sp.span_id is None
+        assert tr.records() == []
+
+    def test_open_spans_keyed_by_thread_id_and_cleared(self):
+        tr = Tracer(enabled=True)
+        tid = threading.get_ident()
+
+        def open_names():
+            return [sp._name for sp in tr._stacks.get(tid, ())]
+
+        with tr.span("outer", category="api"):
+            with tr.span("inner"):
+                assert open_names() == ["outer", "inner"]
+            tr.clear()  # what a forked worker does with its inherited tracer
+            assert open_names() == []
+        assert tr._stacks == {}  # a closed span leaves no stack behind
 
 
 class TestMetrics:
@@ -318,6 +408,70 @@ class TestInstrumentedApi:
             res.stats[0].nodes_discovered_speculatively
 
 
+class TestOneClock:
+    """Each pipeline phase is timed once: ``phase_ns`` is filled from the
+    same two clock reads as the phase's ``api`` span, so the two agree
+    exactly, and untraced calls still fill every phase."""
+
+    @staticmethod
+    def _union():
+        from repro.matrices import generators as g
+        from tests.conftest import block_union
+
+        return block_union(
+            [g.grid2d(6, 7), g.grid2d(3, 9), g.grid2d(5, 5)]
+        )
+
+    @staticmethod
+    def _assert_phases_match_spans(res):
+        from repro.core.api import PHASES
+
+        api = [
+            r for r in telemetry.get().tracer.records() if r.category == "api"
+        ]
+        assert set(res.phase_ns) == set(PHASES)
+        for p in PHASES:
+            assert res.phase_ns[p] == sum(
+                r.duration_ns for r in api if r.name == p
+            ), p
+
+    @pytest.mark.parametrize("method", backends.names())
+    def test_every_backend_on_a_multi_component_pattern(self, method):
+        from repro.facade import reorder
+
+        telemetry.enable()
+        res = reorder(self._union(), method=method, n_workers=2)
+        assert res.n_components == 3
+        self._assert_phases_match_spans(res)
+
+    @pytest.mark.parametrize(
+        "algorithm", ["sloan", "gps", "king", "minimum-degree", "spectral"]
+    )
+    def test_every_non_rcm_algorithm(self, algorithm):
+        from repro.facade import reorder
+
+        telemetry.enable()
+        res = reorder(self._union(), algorithm=algorithm)
+        self._assert_phases_match_spans(res)
+
+    def test_transform_phase(self, hub):
+        from repro.facade import reorder
+
+        telemetry.enable()
+        res = reorder(hub, transform="powerlaw")
+        assert res.transform == "powerlaw"
+        self._assert_phases_match_spans(res)
+
+    def test_untraced_call_fills_every_phase(self):
+        from repro.facade import reorder
+
+        res = reorder(self._union(), method="vectorized")
+        assert telemetry.get().tracer.records() == []
+        for p in ("validate", "components", "start-selection", "ordering",
+                  "assembly"):
+            assert res.phase_ns[p] > 0, p
+
+
 class TestInstrumentedThreads:
     def test_counters_match_runstats_semantics(self, medium_grid):
         from repro.core.serial import rcm_serial
@@ -461,25 +615,33 @@ class TestRobustReadJsonl:
 
 
 class TestHistogramQuantiles:
-    """Satellite: quantiles are total functions over every histogram state."""
+    """Satellite: quantiles are total functions over every histogram state.
 
-    def test_empty_histogram_quantiles_are_zero(self):
+    The one estimator is :func:`repro.telemetry.slo.quantile_from_summary`
+    over a histogram's ``to_dict()`` snapshot.
+    """
+
+    @staticmethod
+    def _q(h, q):
+        return quantile_from_summary(h.to_dict(), q)
+
+    def test_empty_histogram_has_no_quantile(self):
         h = MetricsRegistry().histogram("h")
         for q in (0.0, 0.5, 0.99, 1.0):
-            assert h.quantile(q) == 0.0
+            assert self._q(h, q) is None
 
     def test_single_sample_is_every_quantile(self):
         h = MetricsRegistry().histogram("h")
         h.observe(42.5)
         for q in (0.0, 0.5, 0.99, 1.0):
-            assert h.quantile(q) == 42.5
+            assert self._q(h, q) == 42.5
 
     def test_quantile_rejects_out_of_range(self):
         h = MetricsRegistry().histogram("h")
         with pytest.raises(ValueError):
-            h.quantile(-0.01)
+            self._q(h, -0.01)
         with pytest.raises(ValueError):
-            h.quantile(1.01)
+            self._q(h, 1.01)
 
     def test_estimates_clamped_to_observed_range(self):
         h = MetricsRegistry().histogram("h", buckets=(10.0, 100.0))
@@ -487,13 +649,13 @@ class TestHistogramQuantiles:
             h.observe(v)
         # bucket midpoint would be 5.0+, never below min or above max
         for q in (0.0, 0.5, 1.0):
-            assert 3.0 <= h.quantile(q) <= 5.0
+            assert 3.0 <= self._q(h, q) <= 5.0
 
     def test_median_lands_in_the_right_bucket(self):
         h = MetricsRegistry().histogram("h", buckets=(1.0, 10.0, 100.0))
         for v in (0.5, 5.0, 5.0, 5.0, 50.0):
             h.observe(v)
-        assert 1.0 <= h.quantile(0.5) <= 10.0
+        assert 1.0 <= self._q(h, 0.5) <= 10.0
 
 
 class TestDisabledAllocatesNothing:
