@@ -3,13 +3,12 @@
 Importing this package registers the built-in backends; every
 method-string surface in the library (dispatch, degradation chains, CLI
 choices, cache keys, docs) resolves through it, and ``method="auto"``
-resolves to :data:`AUTO_METHOD`.
+resolves through :func:`auto_method`.
 See :mod:`repro.backends.base` for the model and
 :mod:`repro.backends.builtin` for the built-in registrations.
 """
 
 from repro.backends.base import (
-    AUTO_METHOD,
     KINDS,
     KIND_OS_THREADS,
     KIND_PROCESS,
@@ -17,6 +16,7 @@ from repro.backends.base import (
     KIND_SIMULATED,
     KIND_VECTORIZED,
     Backend,
+    auto_method,
     backends,
     capability_rows,
     capability_table,
@@ -38,7 +38,7 @@ __all__ = [
     "KIND_SIMULATED",
     "KIND_OS_THREADS",
     "KIND_PROCESS",
-    "AUTO_METHOD",
+    "auto_method",
     "Backend",
     "register",
     "unregister",

@@ -2,7 +2,7 @@
 
 One :func:`~repro.backends.base.register` call per method — the whole
 definition of a backend (run adapter, capability flags) lives here, so
-adding an eleventh method is a matter of appending one more block to this
+adding a twelfth method is a matter of appending one more block to this
 file (or calling ``register()`` from the new backend's own module).
 
 Adapters normalize every kernel to one of two shapes:
@@ -31,6 +31,7 @@ from repro.backends.base import (
 from repro.core.batch import run_batch_rcm
 from repro.core.batch_gpu import run_batch_rcm_gpu
 from repro.core.batches import BatchConfig
+from repro.core.compiled import rcm_compiled
 from repro.core.leveled import rcm_leveled
 from repro.core.serial import rcm_serial
 from repro.core.unordered import rcm_unordered
@@ -48,6 +49,10 @@ def _run_serial(mat, start, *, total, n_workers, config, seed):
 
 def _run_vectorized(mat, start, *, total, n_workers, config, seed):
     return rcm_vectorized(mat, start), None
+
+
+def _run_compiled(mat, starts, *, sizes, n_workers, config, seed):
+    return rcm_compiled(mat, starts, sizes=sizes)
 
 
 def _run_parallel(mat, starts, *, sizes, n_workers, config, seed):
@@ -122,6 +127,13 @@ register(Backend(
     summary="level-synchronous NumPy frontier kernel",
     run_component=_run_vectorized,
     fallback_rank=0,
+))
+
+register(Backend(
+    name="compiled",
+    kind=KIND_SERIAL,
+    summary="SciPy's compiled RCM forced onto the pipeline's starts",
+    run_matrix=_run_compiled,
 ))
 
 register(Backend(

@@ -79,12 +79,27 @@ def _entry_from_result(key: CacheKey, result: ReorderResult) -> dict:
     }
 
 
-#: the metadata fields :func:`_result_from_entry` reads; a disk entry
-#: lacking any of them was written by another schema and is a miss
-_RESULT_FIELDS = (
-    "method", "start_nodes", "component_sizes", "initial_bandwidth",
-    "reordered_bandwidth", "algorithm",
-)
+def _is_int(value) -> bool:
+    return type(value) is int  # JSON true/false load as bool, not int
+
+
+def _is_int_list(value) -> bool:
+    return type(value) is list and all(_is_int(v) for v in value)
+
+
+#: the metadata fields :func:`_result_from_entry` and
+#: :meth:`PermutationCache.disk_entries` read, with their types; a disk
+#: entry lacking one, or holding another type, was written by another
+#: schema and is a miss
+_FIELD_CHECKS = {
+    "algorithm": lambda v: type(v) is str,
+    "method": lambda v: type(v) is str,
+    "start_nodes": _is_int_list,
+    "component_sizes": _is_int_list,
+    "initial_bandwidth": _is_int,
+    "reordered_bandwidth": _is_int,
+    "key": lambda v: type(v) is dict,
+}
 
 
 def _result_from_entry(entry: dict, t0: int) -> ReorderResult:
@@ -179,12 +194,14 @@ class PermutationCache:
         try:
             with np.load(path) as npz:
                 entry = json.loads(bytes(npz["meta"].tobytes()).decode())
-                if not isinstance(entry, dict) or any(
-                    k not in entry for k in _RESULT_FIELDS
-                ):
+                perm = npz["permutation"]
+                if not isinstance(entry, dict) or not all(
+                    k in entry and check(entry[k])
+                    for k, check in _FIELD_CHECKS.items()
+                ) or perm.ndim != 1 or perm.dtype.kind not in "iu":
                     return None  # another schema's well-formed file
                 entry["permutation"] = np.ascontiguousarray(
-                    npz["permutation"], dtype=np.int64
+                    perm, dtype=np.int64
                 )
             return entry
         except (OSError, KeyError, ValueError, EOFError, zipfile.BadZipFile):
@@ -334,7 +351,7 @@ class PermutationCache:
                 continue
             out.append(
                 {
-                    **entry.get("key", {}),
+                    **entry["key"],
                     "created": entry.get("created"),
                     "perm_bytes": int(entry["permutation"].nbytes),
                     "file": path.name,

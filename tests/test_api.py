@@ -91,8 +91,9 @@ class TestResult:
 
     def test_methods_constant_lists_all(self):
         assert set(METHODS) == {
-            "serial", "vectorized", "parallel", "leveled", "unordered",
-            "algebraic", "batch-basic", "batch-cpu", "batch-gpu", "threads",
+            "serial", "vectorized", "compiled", "parallel", "leveled",
+            "unordered", "algebraic", "batch-basic", "batch-cpu",
+            "batch-gpu", "threads",
         }
 
     def test_batch_methods_attach_stats(self, small_grid):

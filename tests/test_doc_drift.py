@@ -194,7 +194,7 @@ class TestProseDocs:
         )
         for needle in (
             "reorder_many",
-            "AUTO_METHOD",
+            "auto_method",
             "RemovedAPIError",
             "batch_window_ms",
         ):

@@ -3,9 +3,9 @@
 The paper's headline invariant — every execution method returns the exact
 serial RCM permutation — used to be spot-checked per method in scattered
 tests.  This module is the single battery: every matrix in the suite runs
-through every execution method (serial, vectorized, parallel, leveled,
-unordered, algebraic, the three simulated batch backends, OS threads and
-``"auto"``) plus the service layer cold and warm, and each permutation must
+through every execution method (serial, vectorized, compiled, parallel,
+leveled, unordered, algebraic, the three simulated batch backends, OS
+threads and ``"auto"``) plus the service layer cold and warm, and each permutation must
 be **byte-identical** to the serial golden reference.
 
 When a method diverges here, fix the method — never widen the comparison.
@@ -96,9 +96,9 @@ class TestMethodMatrix:
         assert got.permutation.tobytes() == golden(name)
 
     @pytest.mark.parametrize("name", MATRICES)
-    @pytest.mark.parametrize(
-        "method", ["vectorized", "parallel", "threads", "batch-cpu"]
-    )
+    @pytest.mark.parametrize("method", [
+        "vectorized", "compiled", "parallel", "threads", "batch-cpu",
+    ])
     @pytest.mark.parametrize("start", [0, "peripheral"])
     def test_start_variants(self, name, method, start):
         if start == 0 and not is_connected(name):

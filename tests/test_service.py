@@ -21,9 +21,9 @@ import pytest
 
 import repro.service.core as service_core
 from repro import telemetry
-from repro.errors import ReproError
+from repro.errors import ReproError, ValidationError
 from repro.facade import reorder, reorder_many
-from repro.matrices.generators import grid2d
+from repro.matrices.generators import delaunay_mesh, grid2d, hub_matrix
 from repro.service import (
     PermutationCache,
     ReorderService,
@@ -120,6 +120,64 @@ class TestKeyNamesTheMethodThatRuns:
             reorder_many([mat])[0].method,
             served,
         } == {cache_key(mat).method}
+
+    @pytest.mark.parametrize("transform", [None, "auto", "powerlaw"])
+    @pytest.mark.parametrize("start", ["min-valence", "peripheral", 0])
+    def test_rule_edges(self, start, transform):
+        # "auto" runs on a mesh, where it resolves to no pass; "powerlaw"
+        # on a hub pattern, where its hub-first starts apply
+        if transform == "powerlaw":
+            mats = [hub_matrix(300, n_hubs=3, hub_degree_frac=0.5, seed=s)
+                    for s in (1, 2)]
+        else:
+            mats = [delaunay_mesh(300, seed=s) for s in (1, 2)]
+        mat, opts = mats[0], dict(start=start, transform=transform)
+        if transform is not None and start == 0:
+            for call in (cache_key, reorder,
+                         lambda m, **kw: reorder_many([m], **kw)):
+                with pytest.raises(ValidationError, match="explicit start"):
+                    call(mat, **opts)
+            return
+        runs = (
+            "compiled"
+            if start == "min-valence" and transform != "powerlaw"
+            else "vectorized"
+        )
+        named = {
+            cache_key(mat, **opts).method,
+            reorder(mat, **opts).method,
+            *(r.method for r in reorder_many(mats, **opts)),
+        }
+        if transform is None:  # the service takes no transform
+            with ReorderService() as svc:
+                named.add(svc.reorder(mat, start=start).method)
+            batched = ServiceConfig(batch_window_ms=50)
+            with ReorderService(batched) as svc:
+                named |= {r.method for r in svc.reorder_many(
+                    mats, start=start
+                )}
+        assert named == {runs}
+        if transform == "auto":
+            assert cache_key(mat, **opts) == cache_key(mat, start=start)
+
+    def test_symmetrized_auto_transform_keys_what_runs(self):
+        # a hub stored one-sided: only A | A^T is heavy-tailed, so
+        # transform="auto" applies the power-law pass when symmetrizing
+        n = 400
+        ring = [(i, i % (n - 1) + 1) for i in range(1, n)]
+        rows = [a for a, b in ring] + [b for a, b in ring] + list(range(1, n))
+        cols = [b for a, b in ring] + [a for a, b in ring] + [0] * (n - 1)
+        mat = coo_to_csr(n, rows, cols)
+        opts = dict(symmetrize=True, transform="auto")
+        key, res = cache_key(mat, **opts), reorder(mat, **opts)
+        assert res.transform == "powerlaw"
+        assert (key.method, key.transform) == (res.method, res.transform)
+
+        cache = PermutationCache()
+        reorder(mat, cache=cache, **opts)
+        plain = reorder(mat, symmetrize=True, cache=cache)
+        ref = reorder(mat, symmetrize=True, method="serial")
+        assert plain.permutation.tobytes() == ref.permutation.tobytes()
 
 
 class TestColdWarm:
@@ -440,6 +498,52 @@ class TestDiskTier:
         with ReorderService(ServiceConfig(disk_dir=tmp_path)) as svc:
             res = svc.reorder(mat)
             assert svc.counters["computed"] == 1  # recomputed, no error
+        assert res.permutation.tobytes() == ref.permutation.tobytes()
+        healed = PermutationCache(disk_dir=tmp_path).get(key)
+        assert healed.permutation.tobytes() == ref.permutation.tobytes()
+
+
+    @pytest.mark.parametrize("field, value", [
+        ("start_nodes", 5),
+        ("component_sizes", ["900"]),
+        ("initial_bandwidth", "29"),
+        ("reordered_bandwidth", True),
+        ("method", 7),
+        ("algorithm", None),
+        ("key", [1]),
+        ("permutation", "2-D"),
+    ], ids=[
+        "start_nodes-int", "component_sizes-str-list",
+        "initial_bandwidth-str", "reordered_bandwidth-bool", "method-int",
+        "algorithm-null", "key-list", "permutation-2d",
+    ])
+    def test_mistyped_disk_entry_is_a_miss(self, tmp_path, field, value):
+        # a well-formed NPZ with every field present, one of the wrong type
+        mat = grid2d(30, 30)
+        ref = reorder(mat, method="serial")
+        with ReorderService(ServiceConfig(disk_dir=tmp_path)) as svc:
+            svc.reorder(mat)
+        (entry,) = tmp_path.glob("*.npz")
+        with np.load(entry) as npz:
+            perm = npz["permutation"]
+            meta = json.loads(npz["meta"].tobytes().decode())
+        if field == "permutation":
+            perm = perm.reshape(-1, 1)
+        else:
+            meta[field] = value
+        np.savez(
+            entry, permutation=perm,
+            meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+        )
+
+        key = cache_key(mat)
+        assert PermutationCache(disk_dir=tmp_path).get(key) is None
+        assert PermutationCache.disk_entries(tmp_path) == [
+            {"digest": entry.stem, "error": "unreadable"}
+        ]
+        with ReorderService(ServiceConfig(disk_dir=tmp_path)) as svc2:
+            res = svc2.reorder(mat)
+            assert svc2.counters["computed"] == 1  # recomputed, no error
         assert res.permutation.tobytes() == ref.permutation.tobytes()
         healed = PermutationCache(disk_dir=tmp_path).get(key)
         assert healed.permutation.tobytes() == ref.permutation.tobytes()
