@@ -14,9 +14,9 @@ Measures, and asserts, three ratios taken back to back on one host:
   rate: profiler-off and profiler-on blocks of warm hits alternate in
   pairs, the first block of each pair flipped every pair, and the median
   of the per-pair on/off ratios is held to ``MAX_PROFILER_OVERHEAD_PCT``.
-  A profiled block starts after the profiler's first tick and is shorter
-  than a sampling period on a 2-vCPU host, so it prices the running
-  profiler between samples; ``tests/test_profiler.py`` bounds the ticks.
+  Every block runs warm hits for a whole number of sampling periods, so a
+  profiled block holds that many ticks at any phase and the ratio prices
+  the ticks along with the running profiler between them.
 """
 
 from __future__ import annotations
@@ -30,14 +30,16 @@ from repro.service import ReorderService, ServiceConfig
 from repro.telemetry import profiler
 
 MATRIX = "bcspwr10"
-WARM_ROUNDS = 30
 MIN_HIT_SPEEDUP = 10.0
 #: off/on block pairs of the profiler comparison; adjacent blocks see the
 #: same host load, so drift over the run cancels out of each pair's ratio
 PROFILER_PAIRS = 15
 #: untimed warm hits before every block, profiled or not, so neither side
-#: is timed straight after a sleep or a thread start
+#: is timed straight after a thread start
 BLOCK_WARMUP = 5
+#: sampling periods at the profiler's default rate that every block's warm
+#: hits span, so a profiled block holds this many ticks
+BLOCK_PERIODS = 4
 #: warm-path budget for the sampling profiler, in percent
 MAX_PROFILER_OVERHEAD_PCT = 3.0
 
@@ -55,21 +57,22 @@ def _batch_workload():
 
 
 def _warm_block_ms(svc, mat, *, profiled: bool) -> float:
-    """Per-request ms of ``WARM_ROUNDS`` warm hits, optionally with the
-    sampling profiler running at its default rate.  The profiler's first
-    tick fires as it starts; a profiled block waits for it, so the timing
-    holds the running profiler, not its start-up."""
+    """Per-request ms of warm hits run for ``BLOCK_PERIODS`` sampling
+    periods, optionally with the sampling profiler running at its default
+    rate."""
     if profiled:
-        prof = profiler.start_profiler()
-        while prof.sample_count == 0:
-            time.sleep(0.001)
+        profiler.start_profiler()
     try:
         for _ in range(BLOCK_WARMUP):
             svc.reorder(mat)
-        t0 = time.perf_counter_ns()
-        for _ in range(WARM_ROUNDS):
+        hits, t0 = 0, time.perf_counter_ns()
+        deadline = t0 + BLOCK_PERIODS * 1e9 / profiler.DEFAULT_HZ
+        while True:
             svc.reorder(mat)
-        return (time.perf_counter_ns() - t0) / 1e6 / WARM_ROUNDS
+            hits += 1
+            t1 = time.perf_counter_ns()
+            if t1 >= deadline:
+                return (t1 - t0) / 1e6 / hits
     finally:
         if profiled:
             profiler.stop_profiler()

@@ -3,12 +3,13 @@
 Importing this package registers the built-in backends; every
 method-string surface in the library (dispatch, degradation chains, CLI
 choices, cache keys, docs) resolves through it, and ``method="auto"``
-resolves through :func:`auto_method`.
+resolves to :data:`AUTO_METHOD`.
 See :mod:`repro.backends.base` for the model and
 :mod:`repro.backends.builtin` for the built-in registrations.
 """
 
 from repro.backends.base import (
+    AUTO_METHOD,
     KINDS,
     KIND_OS_THREADS,
     KIND_PROCESS,
@@ -16,7 +17,6 @@ from repro.backends.base import (
     KIND_SIMULATED,
     KIND_VECTORIZED,
     Backend,
-    auto_method,
     backends,
     capability_rows,
     capability_table,
@@ -38,7 +38,7 @@ __all__ = [
     "KIND_SIMULATED",
     "KIND_OS_THREADS",
     "KIND_PROCESS",
-    "auto_method",
+    "AUTO_METHOD",
     "Backend",
     "register",
     "unregister",

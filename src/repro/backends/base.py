@@ -13,10 +13,10 @@ dispatch chain, the service and process-pool degradation chains, the CLI
 derives from this registry instead, so adding a ninth backend is one
 ``register()`` call.
 
-``method="auto"`` is a rule over the request, not a selector:
-:func:`auto_method` names the backend it runs.  Every backend returns the
-same permutation, so ``auto`` only decides speed; ``docs/api.md`` records
-the measurements behind the rule.
+``method="auto"`` is a rule, not a selector: it always runs
+:data:`AUTO_METHOD`.  Every backend returns the same permutation, so
+``auto`` only decides speed; ``docs/api.md`` records the measurements
+behind the rule.
 
 Registration order is meaningful: it is the order methods are listed in
 choices, error messages and docs.
@@ -25,7 +25,7 @@ choices, error messages and docs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import BackendUnavailableError
 from repro.validation import choices_text
@@ -37,7 +37,7 @@ __all__ = [
     "KIND_OS_THREADS",
     "KIND_PROCESS",
     "KINDS",
-    "auto_method",
+    "AUTO_METHOD",
     "Backend",
     "register",
     "unregister",
@@ -66,24 +66,8 @@ KINDS = (
     KIND_PROCESS,
 )
 
-
-def auto_method(
-    start: Union[int, str] = "min-valence", transform: Optional[str] = None
-) -> str:
-    """The backend ``method="auto"`` runs for a request.
-
-    ``"compiled"`` for ``start="min-valence"`` when no transform pass is
-    resolved, ``"vectorized"`` otherwise.  ``transform`` is the resolved
-    pass (:func:`repro.core.transform.resolve_transform`), so
-    ``transform="auto"`` on a mesh resolves like ``transform=None``.  The
-    compiled kernel can seed SciPy only from minimum-valence starts; it
-    would fall back on hub-first, peripheral and explicit starts.  The
-    rule reads the request alone, so a cache key records the method that
-    runs.
-    """
-    if isinstance(start, str) and start == "min-valence" and transform is None:
-        return "compiled"
-    return "vectorized"
+#: the backend ``method="auto"`` runs, for every request and batch size
+AUTO_METHOD = "compiled"
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ import numpy as np
 # the one eager repro import: every --method choices list below comes from
 # the backend registry, resolved at module import (single source of truth)
 from repro.backends import (
-    capability_rows, capability_table, method_choices,
+    AUTO_METHOD, capability_rows, capability_table, method_choices,
 )
 
 __all__ = ["main"]
@@ -856,10 +856,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algorithm", default="rcm", choices=list(ALGORITHMS),
                    help="ordering heuristic (default: rcm)")
     p.add_argument("--method", default="auto", choices=methods,
-                   help="RCM execution strategy (default: auto — "
-                        "compiled for min-valence starts without a "
-                        "transform pass, else vectorized; see "
-                        "'repro backends')")
+                   help="RCM execution strategy (default: auto — the "
+                        f"{AUTO_METHOD} backend; see 'repro backends')")
     p.add_argument("--workers", type=int, default=4)
     p.add_argument("--start", type=int, default=None)
     p.add_argument("--peripheral", action="store_true",

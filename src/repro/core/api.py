@@ -11,7 +11,7 @@ components, picks a start node per component (explicitly, by minimum
 valence, or pseudo-peripherally) and runs the chosen execution backend,
 assembling one global permutation.  Which backends exist, what each one
 honors, and what ``method="auto"`` resolves to
-(:func:`repro.backends.auto_method`) all live in :mod:`repro.backends` —
+(:data:`repro.backends.AUTO_METHOD`) all live in :mod:`repro.backends` —
 this module only walks the pipeline and hands each component (or, for
 whole-matrix backends, the component list) to the registered run callable.
 
@@ -194,6 +194,9 @@ def _reorder_rcm(
     caller's batch, which a validation error names.
     """
     check_choice("method", method, backends.method_choices())
+    if method == "auto":
+        method = backends.AUTO_METHOD
+    backend = backends.get(method)
     check_start(start, mat.n)
     check_transform(transform)
     if transform is not None and isinstance(start, (int, np.integer)):
@@ -219,18 +222,15 @@ def _reorder_rcm(
         "transform", category="api", into=phase_ns,
         requested=transform or "none",
     ) as sp:
-        resolved_tf = resolve_transform(transform, mat)
-        if resolved_tf == "powerlaw":
-            plan = plan_powerlaw(mat)
-        if plan is not None:
-            work = mat.permute_symmetric(plan.relabel)
+        if transform is not None:
+            if resolve_transform(transform, mat) == "powerlaw":
+                plan = plan_powerlaw(mat)
+            if plan is not None:
+                work = mat.permute_symmetric(plan.relabel)
         sp.set(
             applied=plan.kind if plan is not None else "none",
             n_hubs=plan.n_hubs if plan is not None else 0,
         )
-    if method == "auto":
-        method = backends.auto_method(start, resolved_tf)
-    backend = backends.get(method)
 
     with tel.span("components", category="api", into=phase_ns) as sp:
         n_comps, labels = connected_components(work)

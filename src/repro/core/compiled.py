@@ -18,12 +18,21 @@ every child comparison keeps its outcome.  One call orders every
 component; cutting the output at the starts' positions restores
 component order.
 
+Any start works the same way when its valence, + 1 with a diagonal, is
+at most one above every other node's valence in its component (at two
+above SciPy's tie-break decides): a minimum-valence start always
+qualifies, an explicit or ``peripheral`` start often does.  The cut
+checks it after the call, since the blocks tile the output only when
+every seed is our start; a start with a neighbour three or more below its
+valence (a hub, as the power-law pass picks) cannot qualify, so the call
+is skipped for it.
+
 The identity rests on SciPy behaviour that is not documented, so the
 kernel orders the call with :func:`repro.core.vectorized.rcm_vectorized`
 per start instead when the installed SciPy fails a one-time check on a
-fixture, when the self-loop view would overflow int32, or when the cut
-shows that SciPy seeded a component elsewhere (explicit or ``peripheral``
-starts).  Either way every block is byte-identical to :func:`rcm_serial`.
+fixture, when the self-loop view would overflow int32, or when a start
+does not qualify.  Either way every block is byte-identical to
+:func:`rcm_serial`.
 """
 
 from __future__ import annotations
@@ -63,14 +72,24 @@ def _scipy_blocks(
     mat: CSRMatrix, starts: Sequence[int], sizes: Sequence[int]
 ) -> Optional[List[np.ndarray]]:
     """One forced SciPy call cut into per-component blocks; ``None`` when
-    the view would overflow int32 or SciPy seeded a component elsewhere."""
+    the view would overflow int32 or SciPy would seed, or did seed, a
+    component elsewhere."""
     n = mat.n
     if mat.nnz + n > _INT32_MAX:
+        return None
+    starts = np.asarray(starts, dtype=np.int64)
+    # a neighbour 3+ below a start's valence has a lower SciPy degree, so
+    # SciPy cannot seed the component at the start; this reads only the
+    # starts' rows
+    ptr = mat.indptr
+    lens = ptr[starts + 1] - ptr[starts]
+    heads = np.repeat(ptr[starts] - np.cumsum(lens) + lens, lens)
+    nbrs = mat.indices[heads + np.arange(heads.size)]
+    if np.any(ptr[nbrs + 1] - ptr[nbrs] + 2 < np.repeat(lens, lens)):
         return None
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-    starts = np.asarray(starts, dtype=np.int64)
     looped = np.ones(n, dtype=np.int32)
     looped[starts] = 0
     rows = np.flatnonzero(looped).astype(np.int32)

@@ -16,12 +16,10 @@ registry (:mod:`repro.backends`) at import time — each method name is
 spelled exactly once, at its ``register()`` call, and
 ``tests/test_doc_drift.py`` holds this file to it.
 
-For RCM, ``method="auto"`` (the default) is a rule over the request
-(:func:`repro.backends.auto_method`): SciPy's compiled kernel forced onto
-the pipeline's starts (``"compiled"``) for ``start="min-valence"`` when no
-transform pass applies, the level-synchronous NumPy kernel
-(``"vectorized"``) otherwise.  Every RCM method returns the identical
-permutation, so the rule only decides speed.
+For RCM, ``method="auto"`` (the default) runs
+:data:`repro.backends.AUTO_METHOD`, SciPy's compiled RCM forced onto the
+pipeline's starts, on every request and batch size.  Every RCM method
+returns the identical permutation, so the rule only decides speed.
 
 Passing ``cache=`` (a :class:`repro.service.PermutationCache`, a
 :class:`repro.service.ShardedCache`, or a disk-tier directory path) makes
@@ -164,7 +162,7 @@ def reorder(
     method:
         RCM execution strategy, one of
         :func:`repro.backends.method_choices`.  ``"auto"`` (default) runs
-        :func:`repro.backends.auto_method`'s pick.  All methods
+        :data:`repro.backends.AUTO_METHOD`.  All methods
         return the **identical** permutation (the paper's headline
         invariant); they differ in execution strategy and in the
         statistics attached — see the capability table in
@@ -298,7 +296,7 @@ def reorder_many(
 
     * the whole batch runs as **one** executor dispatch
       (:func:`repro.parallel.map_matrices`) on the resolved backend
-      (``"auto"`` resolves by :func:`repro.backends.auto_method`, as for
+      (``"auto"`` is :data:`repro.backends.AUTO_METHOD`, as for
       :func:`reorder`): CSR payloads travel via the zero-copy
       shared-memory transport, the persistent pool is warmed once and
       reused;
@@ -391,8 +389,7 @@ def _compute_many(
             for m, pos in zip(mats, positions)
         ]
 
-    # no transform reaches here, so the rule reads the start alone
-    resolved = backends.auto_method(start) if method == "auto" else method
+    resolved = backends.AUTO_METHOD if method == "auto" else method
     # the whole batch runs on one backend, so n_groups is always 1; the
     # attribute stays because the benchmark's batch_groups probe reads it
     with telemetry.get().span(

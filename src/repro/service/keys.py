@@ -14,10 +14,10 @@ do **not** alter the permutation stay out of the key on purpose:
 ``method`` *is* part of the key even though all RCM methods agree on the
 permutation: a cached :class:`~repro.core.api.ReorderResult` records which
 method produced it, and serving a ``"serial"`` result for a ``"parallel"``
-request would misreport that.  ``"auto"`` keys as the method it runs,
-:func:`repro.backends.auto_method`'s pick for the request's start and
-resolved transform, so ``"auto"`` and its resolution share one entry;
-non-RCM algorithms always key as ``"direct"``.
+request would misreport that.  ``"auto"`` keys as
+:data:`repro.backends.AUTO_METHOD`, the method it runs, so ``"auto"`` and
+its resolution share one entry; non-RCM algorithms always key as
+``"direct"``.
 """
 
 from __future__ import annotations
@@ -51,16 +51,12 @@ def pattern_digest(mat: CSRMatrix) -> str:
     return h.hexdigest()
 
 
-def canonical_method(
-    algorithm: str, method: str, start: Union[int, str] = "min-valence",
-    transform: Optional[str] = None,
-) -> str:
-    """The concrete method a request runs (what the key records);
-    ``transform`` is the resolved pass."""
+def canonical_method(algorithm: str, method: str) -> str:
+    """The concrete method a request runs (what the key records)."""
     if algorithm != "rcm":
         return "direct"
     if method == "auto":
-        return backends.auto_method(start, transform)
+        return backends.AUTO_METHOD
     return method
 
 
@@ -151,7 +147,7 @@ def cache_key(
     )
 
     pattern = pattern_digest(mat)
-    resolved = canonical_method(algorithm, method, start, resolved_tf)
+    resolved = canonical_method(algorithm, method)
     start_token = f"node:{int(start)}" if isinstance(
         start, (int, np.integer)
     ) else f"strategy:{start}"

@@ -1,6 +1,6 @@
 """Stub left by the removed ``method="auto"`` flight recorder.
 
-``method="auto"`` is now a rule (:func:`repro.backends.auto_method`), so
+``method="auto"`` is now a rule (:data:`repro.backends.AUTO_METHOD`), so
 there are no cost-model picks left to record or calibrate.  Only
 :func:`get_recorder` remains, because the end-to-end benchmark's
 "every observer is off" check still imports it.  Delete this module in the

@@ -8,7 +8,7 @@ import pytest
 
 import repro
 from repro import backends
-from repro.backends import Backend, auto_method
+from repro.backends import AUTO_METHOD, Backend
 from repro.core.serial import rcm_serial
 from repro.matrices import generators as g
 from repro.service import ReorderService, ServiceConfig, cache_key
@@ -130,21 +130,12 @@ def _via_cache_key(mats, monkeypatch):
 
 
 class TestAutoRule:
-    """``method="auto"`` runs :func:`auto_method`'s pick on every surface,
-    for every pattern shape and batch size."""
+    """``method="auto"`` runs :data:`AUTO_METHOD` on every surface, for
+    every pattern shape and batch size."""
 
     def test_rule_names_a_registered_backend(self):
-        for start in ("min-valence", "peripheral", 0):
-            for transform in (None, "powerlaw"):
-                assert backends.is_registered(auto_method(start, transform))
-
-    def test_rule_reads_start_and_resolved_transform(self):
-        assert auto_method() == "compiled"
-        assert auto_method("min-valence", None) == "compiled"
-        assert auto_method("min-valence", "powerlaw") == "vectorized"
-        assert auto_method("peripheral") == "vectorized"
-        assert auto_method(0) == "vectorized"
-        assert auto_method(np.int64(0)) == "vectorized"
+        assert AUTO_METHOD == "compiled"
+        assert backends.is_registered(AUTO_METHOD)
 
     def test_inputs_span_the_shapes(self):
         assert [
@@ -156,7 +147,7 @@ class TestAutoRule:
         _via_batched_admission, _via_cache_key,
     ], ids=lambda f: f.__name__[len("_via_"):])
     def test_auto_resolves_to_the_rule(self, via, monkeypatch):
-        assert via(_INPUTS, monkeypatch) == ["compiled"] * len(_INPUTS)
+        assert via(_INPUTS, monkeypatch) == [AUTO_METHOD] * len(_INPUTS)
 
 
 class TestDegradation:

@@ -4,8 +4,8 @@
 minimum-valence starts it must get them from SciPy itself: the property
 test below checks SciPy's undocumented seeding, degree and tie-break
 behaviour on whatever SciPy is installed, so it stays unmarked and runs on
-every CI leg.  Explicit and ``peripheral`` starts, a failed fixture check
-and an int32 overflow take the vectorized fallback, byte-identically.
+every CI leg.  A start SciPy cannot seed from, a failed fixture check and
+an int32 overflow take the vectorized fallback, byte-identically.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from typing import List
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.sparse import csgraph
 
 import repro
 from repro.core import compiled
@@ -134,12 +135,34 @@ class TestFallback:
         ref = repro.reorder(mesh, method="serial")
         assert got.permutation.tobytes() == ref.permutation.tobytes()
 
-    def test_start_scipy_cannot_seed(self):
+    def test_hub_start_skips_the_call(self, monkeypatch):
+        # the hub's neighbours sit far below its valence: no SciPy call
         mat = g.hub_matrix(300, n_hubs=2, hub_degree_frac=0.6, seed=8)
         hub = int(np.argmax(np.diff(mat.indptr)))
+        assert compiled._scipy_agrees()
+        monkeypatch.setattr(csgraph, "reverse_cuthill_mckee", _no_scipy)
         assert compiled._scipy_blocks(mat, [hub], [mat.n]) is None
-        got = repro.reorder(mat, method="compiled", start=hub)
-        ref = repro.reorder(mat, method="serial", start=hub)
+        for kw in (dict(start=hub), dict(transform="powerlaw")):
+            got = repro.reorder(mat, method="compiled", **kw)
+            ref = repro.reorder(mat, method="serial", **kw)
+            assert got.permutation.tobytes() == ref.permutation.tobytes()
+
+    def test_start_scipy_seeds_elsewhere(self, monkeypatch):
+        # a spider: centre 0 (valence 4), legs 1-4 (valence 2), feet 5-8
+        # (valence 1).  No neighbour of 0 is 3 below it, so SciPy runs,
+        # but a foot's degree is lower and SciPy seeds there
+        legs = [(0, i) for i in range(1, 5)]
+        mat = CSRMatrix.from_edges(9, legs + [(i, i + 4) for i in range(1, 5)])
+        calls = []
+        real = csgraph.reverse_cuthill_mckee
+        monkeypatch.setattr(
+            csgraph, "reverse_cuthill_mckee",
+            lambda *a, **kw: calls.append(1) or real(*a, **kw),
+        )
+        assert compiled._scipy_blocks(mat, [0], [9]) is None
+        assert calls == [1]
+        got = repro.reorder(mat, method="compiled", start=0)
+        ref = repro.reorder(mat, method="serial", start=0)
         assert got.permutation.tobytes() == ref.permutation.tobytes()
 
     def test_int32_overflow(self, mesh, monkeypatch):

@@ -194,7 +194,7 @@ class TestProseDocs:
         )
         for needle in (
             "reorder_many",
-            "auto_method",
+            "AUTO_METHOD",
             "RemovedAPIError",
             "batch_window_ms",
         ):

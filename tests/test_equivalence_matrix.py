@@ -5,8 +5,8 @@ serial RCM permutation — used to be spot-checked per method in scattered
 tests.  This module is the single battery: every matrix in the suite runs
 through every execution method (serial, vectorized, compiled, parallel,
 leveled, unordered, algebraic, the three simulated batch backends, OS
-threads and ``"auto"``) plus the service layer cold and warm, and each permutation must
-be **byte-identical** to the serial golden reference.
+threads and ``"auto"``) plus the service layer cold and warm, and each
+permutation must be **byte-identical** to the serial golden reference.
 
 When a method diverges here, fix the method — never widen the comparison.
 """

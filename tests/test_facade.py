@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.backends import auto_method
+from repro.backends import AUTO_METHOD
 from repro.core.batches import BatchConfig
 from repro.facade import ALGORITHMS, reorder
 from repro.matrices import generators as g
@@ -24,7 +24,7 @@ class TestFacade:
     def test_default_is_rcm_auto(self, medium_grid):
         res = reorder(medium_grid)
         assert res.algorithm == "rcm"
-        assert res.method == auto_method() == "compiled"
+        assert res.method == AUTO_METHOD == "compiled"
         assert_permutation(res.permutation, medium_grid.n)
 
     # method equivalence is covered by the golden battery in

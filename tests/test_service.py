@@ -21,6 +21,7 @@ import pytest
 
 import repro.service.core as service_core
 from repro import telemetry
+from repro.backends import AUTO_METHOD
 from repro.errors import ReproError, ValidationError
 from repro.facade import reorder, reorder_many
 from repro.matrices.generators import delaunay_mesh, grid2d, hub_matrix
@@ -138,11 +139,6 @@ class TestKeyNamesTheMethodThatRuns:
                 with pytest.raises(ValidationError, match="explicit start"):
                     call(mat, **opts)
             return
-        runs = (
-            "compiled"
-            if start == "min-valence" and transform != "powerlaw"
-            else "vectorized"
-        )
         named = {
             cache_key(mat, **opts).method,
             reorder(mat, **opts).method,
@@ -156,7 +152,7 @@ class TestKeyNamesTheMethodThatRuns:
                 named |= {r.method for r in svc.reorder_many(
                     mats, start=start
                 )}
-        assert named == {runs}
+        assert named == {AUTO_METHOD}
         if transform == "auto":
             assert cache_key(mat, **opts) == cache_key(mat, start=start)
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from repro.backends import auto_method
+from repro.backends import AUTO_METHOD
 from repro.facade import reorder
 from repro.service import PermutationCache, cache_key, pattern_digest
 from repro.sparse.csr import CSRMatrix, coo_to_csr
@@ -138,7 +138,7 @@ class TestSensitivity:
         mat = _build(n, edges)
         assert (
             cache_key(mat, method="auto").digest
-            == cache_key(mat, method=auto_method()).digest
+            == cache_key(mat, method=AUTO_METHOD).digest
             != cache_key(mat, method="vectorized").digest
         )
 
