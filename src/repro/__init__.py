@@ -41,7 +41,6 @@ from repro.service import (
     PermutationCache,
     ReorderService,
     ServiceConfig,
-    ShardedCache,
     ShardedService,
 )
 from repro.core import (
@@ -68,7 +67,6 @@ __all__ = [
     "ALGORITHMS",
     "ReorderService",
     "ShardedService",
-    "ShardedCache",
     "AsyncReorderService",
     "ServiceConfig",
     "PermutationCache",

@@ -21,15 +21,11 @@ For RCM, ``method="auto"`` (the default) runs
 pipeline's starts, on every request and batch size.  Every RCM method
 returns the identical permutation, so the rule only decides speed.
 
-Passing ``cache=`` (a :class:`repro.service.PermutationCache`, a
-:class:`repro.service.ShardedCache`, or a disk-tier directory path) makes
-the call content-addressed: a pattern + options seen before is served from
-the cache without recomputation.  With ``shards=N`` a path spec
-materializes as an N-way :class:`~repro.service.ShardedCache` (per-shard
-``shard-<i>`` disk directories behind a consistent-hash ring — the same
-layout ``ReorderService(shards=N)`` serves from).
+Passing ``cache=`` (a :class:`repro.service.PermutationCache` or a
+disk-tier directory path) makes the call content-addressed: a pattern +
+options seen before is served from the cache without recomputation.
 :class:`repro.service.ReorderService` builds coalescing and admission
-control on top of the same path.
+control on top of the same path.  ``shards=`` is deprecated and ignored.
 
 Batches are first-class: :func:`reorder_many` reorders a whole list of
 matrices as **one dispatch**, shipped through the zero-copy shared-memory
@@ -63,7 +59,9 @@ from repro.core.api import (
 )
 from repro.core.batches import BatchConfig
 from repro.errors import ValidationError
-from repro.validation import check_choice, check_min, check_start, choices_text
+from repro.validation import (
+    check_choice, check_min, check_start, choices_text, warn_shards,
+)
 from repro import telemetry
 from repro.telemetry import context as tctx
 
@@ -86,23 +84,12 @@ if __doc__ is not None:  # pragma: no branch - absent only under -OO
     )
 
 
-def _resolve_cache(cache, shards: int):
-    """Materialize the ``cache=``/``shards=`` spec into a cache object.
-
-    A cache *object* (``PermutationCache``/``ShardedCache`` — anything
-    with ``get``/``put``) passes through unchanged; a ``str``/``Path``
-    names a disk-tier root and builds a :class:`PermutationCache` at
-    ``shards=1`` or an N-way :class:`ShardedCache` (``shard-<i>``
-    subdirectories) above that.  ``shards`` only shapes how a path spec
-    materializes — with ``cache=None`` there is nothing to shard.
-    """
-    check_min("shards", shards, 1)
-    if cache is None or not isinstance(cache, (str, Path)):
+def _resolve_cache(cache):
+    """Materialize the ``cache=`` spec: a ``str``/``Path`` names a disk
+    tier and builds its :class:`PermutationCache`; a cache object (or
+    ``None``) passes through unchanged."""
+    if not isinstance(cache, (str, Path)):
         return cache
-    if shards > 1:
-        from repro.service.router import ShardedCache
-
-        return ShardedCache(cache, shards)
     from repro.service.cache import PermutationCache
 
     return PermutationCache(disk_dir=cache)
@@ -145,7 +132,7 @@ def reorder(
     seed: int = 0,
     transform: Optional[str] = None,
     cache=None,
-    shards: int = 1,
+    shards: Optional[int] = None,
 ) -> ReorderResult:
     """Reorder a symmetric sparse pattern to reduce its bandwidth.
 
@@ -194,21 +181,16 @@ def reorder(
         carries the byte-identical-across-methods invariant.
         Incompatible with an explicit integer ``start``.
     cache:
-        optional :class:`repro.service.PermutationCache`, N-way
-        :class:`repro.service.ShardedCache`, or a ``str``/``Path`` naming
-        a disk-tier directory (materialized per ``shards``).  When given,
-        the request is keyed on the content hash of the pattern plus the
+        optional :class:`repro.service.PermutationCache`, or a
+        ``str``/``Path`` naming a disk-tier directory.  When given, the
+        request is keyed on the content hash of the pattern plus the
         permutation-relevant options; a hit returns the cached result
         (permutation bit-identical to recomputation) with
         ``phase_ns={"cache": <lookup ns>}``, a miss computes and
         populates the cache.
     shards:
-        how a ``str``/``Path`` ``cache`` spec materializes: ``1``
-        (default) builds one :class:`~repro.service.PermutationCache`,
-        ``N > 1`` an N-way consistent-hash
-        :class:`~repro.service.ShardedCache` with per-shard ``shard-<i>``
-        disk directories.  Ignored for a cache object (it already knows
-        its sharding) and meaningless without ``cache``.
+        deprecated and ignored: the cache is one tier.  An explicit value
+        warns ``DeprecationWarning`` for one release.
 
     Returns
     -------
@@ -218,7 +200,8 @@ def reorder(
     """
     check_choice("algorithm", algorithm, ALGORITHMS)
     check_min("n_workers", n_workers, 1)
-    cache = _resolve_cache(cache, shards)
+    warn_shards(shards)
+    cache = _resolve_cache(cache)
     options = dict(
         algorithm=algorithm, method=method, start=start, n_workers=n_workers,
         config=config, symmetrize=symmetrize, seed=seed, transform=transform,
@@ -285,7 +268,7 @@ def reorder_many(
     seed: int = 0,
     transform: Optional[str] = None,
     cache=None,
-    shards: int = 1,
+    shards: Optional[int] = None,
 ) -> List[ReorderResult]:
     """Reorder a batch of patterns as one amortized dispatch.
 
@@ -300,10 +283,10 @@ def reorder_many(
       :func:`reorder`): CSR payloads travel via the zero-copy
       shared-memory transport, the persistent pool is warmed once and
       reused;
-    * with ``cache=`` given (cache object or disk-tier path, sharded per
-      ``shards`` exactly as in :func:`reorder`), hits are served per
-      matrix up front (``phase_ns={"cache": <ns>}``) and only the misses
-      are dispatched; every computed result is cached on the way out;
+    * with ``cache=`` given (cache object or disk-tier path, as in
+      :func:`reorder`), hits are served per matrix up front
+      (``phase_ns={"cache": <ns>}``) and only the misses are dispatched;
+      every computed result is cached on the way out;
     * a malformed pattern fails the call with a
       :class:`~repro.errors.ValidationError` whose message starts with
       ``matrix <i>:``, its index in ``mats``.
@@ -318,7 +301,8 @@ def reorder_many(
     check_min("n_workers", n_workers, 1)
     if algorithm == "rcm":
         check_choice("method", method, backends.method_choices())
-    cache = _resolve_cache(cache, shards)
+    warn_shards(shards)
+    cache = _resolve_cache(cache)
     mats = list(mats)
     results: List[Optional[ReorderResult]] = [None] * len(mats)
     if not mats:

@@ -14,12 +14,9 @@ with backpressure and a graceful method-degradation chain.
         first = svc.reorder(mat)     # computes and caches
         again = svc.reorder(mat)     # served from the cache, bit-identical
 
-``ReorderService(shards=N)`` splits the cache into N tiers on a
-consistent-hash :class:`HashRing` (:class:`ShardedCache`, per-shard
-``shard-<i>/`` disk directories that survive resharding) behind the same
-single admission queue; ``ShardedService`` is another name for
-:class:`ReorderService`.  :class:`AsyncReorderService` puts an awaitable
-front door on it.
+The service keeps one :class:`PermutationCache`; size it with
+``ServiceConfig.cache_capacity``.  :class:`AsyncReorderService` puts an
+awaitable front door on it.
 
 See ``docs/service.md`` for cache semantics, coalescing guarantees and the
 telemetry taxonomy.
@@ -27,7 +24,6 @@ telemetry taxonomy.
 
 from repro.service.keys import CacheKey, cache_key, pattern_digest
 from repro.service.cache import CacheStats, PermutationCache
-from repro.service.router import HashRing, ShardedCache
 from repro.service.core import (
     ReorderService,
     ServiceConfig,
@@ -46,10 +42,8 @@ __all__ = [
     "CacheStats",
     "PermutationCache",
     "ReorderService",
-    "ShardedCache",
     "ShardedService",
     "AsyncReorderService",
-    "HashRing",
     "ServiceConfig",
     "ServiceError",
     "ServiceOverloadedError",

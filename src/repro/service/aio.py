@@ -30,6 +30,7 @@ from repro.core.api import ReorderResult
 from repro.errors import ServiceTimeoutError
 from repro.service.core import ReorderService, ServiceConfig
 from repro.sparse.csr import CSRMatrix
+from repro.validation import warn_shards
 
 __all__ = ["AsyncReorderService"]
 
@@ -39,29 +40,30 @@ class AsyncReorderService:
 
     ::
 
-        async with AsyncReorderService(shards=4) as svc:
+        async with AsyncReorderService() as svc:
             res = await svc.reorder(mat)
             many = await svc.reorder_many(mats)
 
-    ``config`` and ``shards`` build the backing service.  An existing
-    service instance can be passed as ``service=`` instead (it is not
-    closed by ``aclose`` by default).
+    ``config`` builds the backing service.  An existing service instance
+    can be passed as ``service=`` instead (it is not closed by ``aclose``
+    by default).  ``shards`` is deprecated and ignored.
     """
 
     def __init__(
         self,
         config: Optional[ServiceConfig] = None,
         *,
-        shards: int = 1,
+        shards: Optional[int] = None,
         service: Optional[ReorderService] = None,
     ) -> None:
+        warn_shards(shards)
         if service is not None:
             if config is not None:
                 raise ValueError("pass config or service, not both")
             self.service = service
             self._owns_service = False
         else:
-            self.service = ReorderService(config, shards=shards)
+            self.service = ReorderService(config)
             self._owns_service = True
 
     # ------------------------------------------------------------------

@@ -28,7 +28,7 @@ import zipfile
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Union
 
 import numpy as np
 
@@ -130,13 +130,6 @@ class PermutationCache:
         configured).
     disk_dir:
         optional directory for the persistent tier; created on first use.
-    fallback_dirs:
-        read-only sibling disk tiers probed after a ``disk_dir`` miss.
-        A hit from a fallback directory is promoted — installed in memory
-        and rewritten under ``disk_dir`` — but the foreign file is never
-        touched.  :class:`repro.service.ShardedCache` points each shard
-        at its siblings' directories so entries that a resharding remapped
-        to a different shard still warm-hit from disk.
     """
 
     def __init__(
@@ -144,13 +137,11 @@ class PermutationCache:
         capacity: int = 128,
         *,
         disk_dir: Optional[Union[str, Path]] = None,
-        fallback_dirs: Sequence[Union[str, Path]] = (),
     ) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = int(capacity)
         self.disk_dir = Path(disk_dir) if disk_dir is not None else None
-        self.fallback_dirs = tuple(Path(d) for d in fallback_dirs)
         self.stats = CacheStats()
         self._lock = threading.Lock()
         self._entries: "OrderedDict[str, dict]" = OrderedDict()
@@ -215,14 +206,6 @@ class PermutationCache:
             return None
         return self._read_npz(path)
 
-    def _fallback_read(self, digest: str) -> Optional[dict]:
-        """Probe sibling tiers read-only (resharded keys land here)."""
-        for directory in self.fallback_dirs:
-            entry = self._read_npz(directory / f"{digest}.npz")
-            if entry is not None:
-                return entry
-        return None
-
     # ------------------------------------------------------------------
     # public API
     # ------------------------------------------------------------------
@@ -242,10 +225,6 @@ class PermutationCache:
                 return _result_from_entry(entry, t0)
         # slow tier outside the lock: the read is idempotent
         entry = self._disk_read(key.digest)
-        promoted = False
-        if entry is None and self.fallback_dirs:
-            entry = self._fallback_read(key.digest)
-            promoted = entry is not None
         if entry is not None:
             with self._lock:
                 self.stats.hits += 1
@@ -253,14 +232,27 @@ class PermutationCache:
                 self._install(key.digest, entry)
                 self._tel_count("service.cache.hits")
                 self._tel_count("service.cache.disk_hits")
-            if promoted:
-                # adopt the resharded entry: one write, into our own tier
-                self._disk_write(key.digest, entry)
             return _result_from_entry(entry, t0)
         with self._lock:
             self.stats.misses += 1
             self._tel_count("service.cache.misses")
         return None
+
+    def _peek(self, key: CacheKey) -> Optional[ReorderResult]:
+        """The memory tier's result for ``key``, counting nothing.
+
+        The service's re-check under its own lock: the request already
+        counted its one outcome in :meth:`get`, and a key computed since
+        then is in memory (:meth:`put` installs it before the computing
+        future resolves), so no disk read runs under that lock.
+        """
+        t0 = time.perf_counter_ns()
+        with self._lock:
+            entry = self._entries.get(key.digest)
+            if entry is None:
+                return None
+            self._entries.move_to_end(key.digest)
+            return _result_from_entry(entry, t0)
 
     def put(self, key: CacheKey, result: ReorderResult) -> None:
         """Insert (or refresh) the entry for ``key``."""
@@ -284,11 +276,11 @@ class PermutationCache:
 
         Returns how many tiers actually held (and dropped) the key — 0
         when it was cached nowhere, 1 for memory *or* disk, 2 for both —
-        so callers (``repro cache --invalidate``, the sharded cache) can
-        report exactly what an invalidation removed.  The count is truthy
-        exactly when anything was removed, preserving the historical
-        boolean reading.  Safe under concurrent calls on one key: a disk
-        file another caller unlinked first counts as not held.
+        so callers (``repro cache --invalidate``) can report exactly what
+        an invalidation removed.  The count is truthy exactly when
+        anything was removed, preserving the historical boolean reading.
+        Safe under concurrent calls on one key: a disk file another caller
+        unlinked first counts as not held.
         """
         digest = (
             key_or_digest.digest

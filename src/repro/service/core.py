@@ -28,11 +28,10 @@ traffic-serving deployment needs:
   the dispatch is shared.  Per-batch telemetry: histogram
   ``service.batch.size`` and span ``service.batch``.
 
-``shards`` chooses only the cache: with ``shards > 1`` it is a
-:class:`~repro.service.router.ShardedCache`, whose consistent-hash ring
-lays the disk tier out as ``shard-<i>/`` directories that survive a
-change of shard count.  Admission is the same single queue for any shard
-count.  :data:`ShardedService` is another name for :class:`ReorderService`.
+The service keeps one :class:`~repro.service.cache.PermutationCache`.
+In-process sharding is retired: an explicit ``shards=`` warns
+``DeprecationWarning`` and is ignored, and :data:`ShardedService` is
+another name for :class:`ReorderService`, both for one release.
 
 Failures degrade gracefully: when an execution method dies with an
 environmental error (broken pool, OS failure, memory pressure) the request
@@ -72,10 +71,10 @@ from repro.sparse.csr import CSRMatrix
 from repro.core.api import ReorderResult
 from repro.service.keys import CacheKey, cache_key
 from repro.service.cache import PermutationCache
-from repro.service.router import ShardedCache
 from repro.parallel.executor import record_fallback
 from repro import telemetry
 from repro.telemetry import context as tctx
+from repro.validation import warn_shards
 
 __all__ = [
     "ServiceConfig",
@@ -121,7 +120,7 @@ class ServiceConfig:
     deadline of blocking :meth:`ReorderService.reorder` calls (``None`` =
     wait forever).  ``fallback=False`` disables the method degradation
     chain (the first error propagates).  ``cache_capacity`` is the memory
-    tier size of the cache (per shard with ``shards > 1``).
+    tier size of the service's one cache.
 
     ``batch_window_ms > 0`` turns on batched admission: after the first
     queued miss the admission thread waits up to that many milliseconds
@@ -208,37 +207,26 @@ class ReorderService:
     plus options.
 
     The service owns one lock, one in-flight coalescing map, one
-    backpressure semaphore, one worker thread pool and (when batched) one
-    admission thread.  ``shards=N`` only swaps the cache for an N-way
-    :class:`~repro.service.router.ShardedCache` (``shard-<i>/`` disk
-    tiers); an explicit ``cache`` must have that many shards.  For an
-    awaitable front end see :class:`repro.service.AsyncReorderService`.
+    backpressure semaphore, one worker thread pool, one
+    :class:`~repro.service.cache.PermutationCache` (``cache`` or one built
+    from the config) and (when batched) one admission thread.
+    ``shards`` is deprecated and ignored.  For an awaitable front end see
+    :class:`repro.service.AsyncReorderService`.
     """
 
     def __init__(
         self,
         config: Optional[ServiceConfig] = None,
         *,
-        cache=None,
-        shards: int = 1,
+        cache: Optional[PermutationCache] = None,
+        shards: Optional[int] = None,
     ) -> None:
-        if shards < 1:
-            raise ValueError("shards must be >= 1")
+        warn_shards(shards)
         self.config = config if config is not None else ServiceConfig()
         cfg = self.config
         # explicit None check: an empty PermutationCache is falsy (__len__)
         if cache is None:
-            cache = (
-                PermutationCache(cfg.cache_capacity, disk_dir=cfg.disk_dir)
-                if shards == 1
-                else ShardedCache(
-                    cfg.disk_dir, shards, capacity=cfg.cache_capacity
-                )
-            )
-        elif getattr(cache, "n_shards", 1) != shards:
-            raise ValueError(
-                f"cache has {cache.n_shards} shards, service wants {shards}"
-            )
+            cache = PermutationCache(cfg.cache_capacity, disk_dir=cfg.disk_dir)
         self.cache = cache
         self._pool = ThreadPoolExecutor(
             max_workers=cfg.n_workers, thread_name_prefix="repro-service",
@@ -332,9 +320,11 @@ class ReorderService:
             # a duplicate may have raced past the first check while we
             # waited for a slot, or finished entirely between our cache
             # miss and here (put -> resolve -> settle); without these
-            # re-checks we would recompute a key that is already served
+            # re-checks we would recompute a key that is already served.
+            # The cache re-check counts nothing: the get above counted
+            # this request's one hit or miss
             existing = self._inflight.get(key.digest)
-            hit = self.cache.get(key) if existing is None else None
+            hit = self.cache._peek(key) if existing is None else None
             if existing is None and hit is None:
                 # request identity for cross-thread/process tracing:
                 # created at admission so the pool thread, the parallel
@@ -675,6 +665,5 @@ class ReorderService:
         self.close()
 
 
-#: the historical name of the sharded service; ``shards=`` is now a
-#: :class:`ReorderService` argument
+#: the retired sharded service's name, kept for one release
 ShardedService = ReorderService

@@ -1,7 +1,7 @@
 """Continuous sampling profiler with span/phase attribution.
 
 A daemon thread walks :func:`sys._current_frames` at a configurable rate
-(default ~67 Hz) and aggregates every thread's stack into folded-stack
+(default 11 Hz) and aggregates every thread's stack into folded-stack
 counts — the collapsed format flamegraph tools eat directly::
 
     phase:ordering;process:main;cli.py:main;api.py:reorder;... 41
@@ -44,7 +44,10 @@ __all__ = [
     "profiler_stats",
 ]
 
-DEFAULT_HZ = 67.0
+#: default sampling rate: 165 ticks in a 15 s run give the top stacks of
+#: a 67 Hz run, and each tick's thread wake-up costs the sampled threads
+#: more than the tick's own work (see docs/observability.md, "Rate")
+DEFAULT_HZ = 11.0
 MAX_STACK_DEPTH = 64
 
 _THIS_FILE = os.path.abspath(__file__)

@@ -13,7 +13,8 @@ subclass, so both ``except ValueError`` and the unified
 
 from __future__ import annotations
 
-from typing import Sequence, Union
+import warnings
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -25,6 +26,7 @@ __all__ = [
     "check_min",
     "check_start",
     "choices_text",
+    "warn_shards",
 ]
 
 #: named start-node selection strategies accepted everywhere
@@ -62,4 +64,20 @@ def check_start(start: Union[int, str], n: int) -> None:
         raise ValidationError(
             "start strategy must be one of "
             f"{choices_text(START_STRATEGIES)}; got {start!r}"
+        )
+
+
+def warn_shards(shards: Optional[int]) -> None:
+    """Warn that an explicit ``shards=`` is deprecated and ignored.
+
+    The permutation cache is one tier: ``shards=`` on :func:`repro.reorder`,
+    :func:`repro.reorder_many`, :class:`repro.ReorderService` and
+    :class:`repro.AsyncReorderService` changes nothing but this warning for
+    one release, then raises :class:`repro.errors.RemovedAPIError`.
+    """
+    if shards is not None:
+        warnings.warn(
+            f"shards={shards!r} is deprecated and ignored: the permutation "
+            "cache is one tier; size it with cache_capacity instead",
+            DeprecationWarning, stacklevel=3,  # the surface's caller
         )

@@ -251,25 +251,31 @@ class TestProseDocs:
             )
 
     def test_service_md_documents_sharded_deployment(self):
+        """The retirement note: equal-memory numbers, the ``shards=``
+        window and what happens to old ``shard-<i>/`` directories."""
         text = (DOCS / "service.md").read_text()
         for needle in (
-            "## Sharded deployment",
-            "ReorderService(cfg, shards=4)",
-            "ShardedService",
-            "AsyncReorderService",
-            "HashRing.route",
-            "shard-<i>",
-            "--shards",
-            "--shard 2",
-            "cache.n_shards",
-            "4 shards × 128",
+            "## The asyncio front door",
+            "## Sharded deployment (retired)",
+            "| four shards × 128 | 512 | 0.82 s |",
+            "warns `DeprecationWarning`",
+            "`cache_capacity`",
+            "ShardedService(cfg, shards=4)",
+            "RemovedAPIError",
+            "Old `shard-<i>/` directories are not read.",
+            "repro serve --shards",
+            "repro cache --shard",
         ):
             assert needle in text, (
                 f"docs/service.md missing {needle!r}; see the "
-                "'Sharded deployment' section"
+                "'Sharded deployment (retired)' section"
             )
-        # per-shard telemetry and the modeled capacity gates are gone
+        # the ring, per-shard layout and per-shard telemetry are gone
         for stale in (
+            "HashRing.route",
+            "shard_index",
+            "cache.n_shards",
+            "--shard 2",
             "service_shard_",
             "healthy_shards",
             "queue_depths",
@@ -279,21 +285,14 @@ class TestProseDocs:
             assert stale not in text, (
                 f"docs/service.md still documents removed {stale!r}"
             )
-        from repro.service.router import REPLICAS
-
-        assert f"{REPLICAS} virtual points" in text, (
-            "docs/service.md virtual-node count is stale; expected "
-            f"'{REPLICAS} virtual points' "
-            "(from repro.service.router.REPLICAS)"
-        )
 
     def test_sharded_deployment_cross_links(self):
-        anchor = "service.md#sharded-deployment"
+        anchor = "service.md#sharded-deployment-retired"
         assert anchor in (REPO / "README.md").read_text(), (
-            "README.md must link the sharded deployment section"
+            "README.md must link the sharding retirement note"
         )
         assert anchor in (DOCS / "api.md").read_text(), (
-            "docs/api.md must link the sharded deployment section"
+            "docs/api.md must link the sharding retirement note"
         )
 
     def test_scenarios_md_names_every_family_and_scenario(self):

@@ -158,13 +158,10 @@ class TestServiceMatrix:
         assert warm.permutation.tobytes() == golden(name)
         assert svc.counters["computed"] == 1  # warm came from the cache
 
-    @pytest.mark.parametrize("n_shards", [1, 4])
-    def test_sharded_service_cold_and_warm(self, n_shards):
-        """The consistent-hash cache layout is a placement decision, never
-        a semantic one: any shard count returns the serial golden bytes."""
-        with ReorderService(
-            ServiceConfig(n_workers=2), shards=n_shards
-        ) as svc:
+    def test_shared_service_cold_and_warm(self):
+        """One service over every matrix: its cache serves each the
+        serial golden bytes, cold and warm."""
+        with ReorderService(ServiceConfig(n_workers=2)) as svc:
             for name in MATRICES:
                 cold = svc.reorder(matrix(name), method="serial")
                 assert cold.permutation.tobytes() == golden(name)
@@ -177,7 +174,7 @@ class TestServiceMatrix:
         import asyncio
 
         async def run():
-            async with AsyncReorderService(shards=2) as svc:
+            async with AsyncReorderService() as svc:
                 cold = await svc.reorder_many(
                     [matrix(name) for name in MATRICES], method="serial"
                 )

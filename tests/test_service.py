@@ -4,14 +4,16 @@ Covers the tentpole guarantees of :mod:`repro.service`: cold/warm
 bit-identity with ``method="serial"``, request coalescing (exactly one
 underlying computation for concurrent duplicates, observable through the
 ``service.coalesced`` counter), bounded-queue backpressure, per-request
-timeouts, the graceful-degradation chain, the disk cache tier and explicit
-invalidation.  The cross-method value battery lives in
-``test_equivalence_matrix.py``; cache-key properties in
-``test_service_properties.py``.
+timeouts, the graceful-degradation chain, the disk cache tier, explicit
+invalidation, one cache outcome per request, the asyncio front door, the
+``repro cache`` CLI and the deprecated ``shards=`` keyword.  The
+cross-method value battery lives in ``test_equivalence_matrix.py``;
+cache-key properties in ``test_service_properties.py``.
 """
 
 from __future__ import annotations
 
+import asyncio
 import json
 import sys
 import threading
@@ -22,16 +24,19 @@ import pytest
 import repro.service.core as service_core
 from repro import telemetry
 from repro.backends import AUTO_METHOD
+from repro.cli import main as cli_main
 from repro.errors import ReproError, ValidationError
 from repro.facade import reorder, reorder_many
 from repro.matrices.generators import delaunay_mesh, grid2d, hub_matrix
 from repro.service import (
+    AsyncReorderService,
     PermutationCache,
     ReorderService,
     ServiceConfig,
     ServiceError,
     ServiceOverloadedError,
     ServiceTimeoutError,
+    ShardedService,
     cache_key,
     fallback_chain,
     pattern_digest,
@@ -208,6 +213,8 @@ class TestColdWarm:
         with ReorderService() as svc:
             svc.reorder(small_grid)
             stats = svc.stats()
+            assert stats["healthy"] and svc.healthy
+        assert not svc.healthy  # closed
         assert stats["service.requests"] == 1
         assert stats["service.computed"] == 1
         assert stats["pending"] == 0
@@ -251,6 +258,60 @@ class TestCoalescing:
             f1.result(timeout=10)
             assert svc.counters["coalesced"] == 0
             assert len(gated.calls) == 2
+
+    def test_hammer_exactly_one_computation_per_key(
+        self, tmp_path, monkeypatch
+    ):
+        """16 threads race the same 24 keys: each key computes once, and
+        every thread gets the bytes a fresh service computes."""
+        n_threads = 16
+        cfg = ServiceConfig(
+            n_workers=2, max_pending=256, disk_dir=tmp_path / "cache"
+        )
+        computed = {}  # digest -> count of underlying computations
+        lock = threading.Lock()
+        real = service_core._call_reorder
+
+        def counting_call(mat, kwargs):
+            d = pattern_digest(mat)
+            with lock:
+                computed[d] = computed.get(d, 0) + 1
+            return real(mat, kwargs)
+
+        monkeypatch.setattr(service_core, "_call_reorder", counting_call)
+        mats = [random_symmetric(60, 0.05, seed=100 + i) for i in range(24)]
+        barrier = threading.Barrier(n_threads)
+        results = [None] * n_threads
+        errors = []
+
+        with ReorderService(cfg) as svc:
+            def worker(slot):
+                try:
+                    barrier.wait(timeout=10)
+                    futs = [svc.submit(m) for m in mats]
+                    results[slot] = [
+                        f.result(timeout=60).permutation.tobytes()
+                        for f in futs
+                    ]
+                except Exception as exc:  # pragma: no cover - diagnostics
+                    errors.append(exc)
+
+            threads = [
+                threading.Thread(target=worker, args=(s,))
+                for s in range(n_threads)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in threads)
+            assert not errors, errors
+
+        assert computed == {pattern_digest(m): 1 for m in mats}
+        assert all(r == results[0] for r in results[1:])
+        with ReorderService() as fresh:
+            expect = [fresh.reorder(m).permutation.tobytes() for m in mats]
+        assert results[0] == expect
 
 
 class TestBackpressure:
@@ -455,10 +516,6 @@ class TestDiskTier:
 
         key = cache_key(mat)
         assert PermutationCache(disk_dir=tmp_path).get(key) is None
-        sibling = PermutationCache(
-            disk_dir=tmp_path / "own", fallback_dirs=[tmp_path]
-        )
-        assert sibling.get(key) is None
         assert PermutationCache.disk_entries(tmp_path) == [
             {"digest": entry.stem, "error": "unreadable"}
         ]
@@ -561,13 +618,13 @@ class TestCacheHitTiming:
         assert hist["count"] == 1
         assert hist["sum"] == warm.phase_ns["cache"] / 1e6
 
-    def test_sharded_service_disk_hit_carries_cache_phase(
+    def test_service_disk_hit_carries_cache_phase(
         self, tmp_path, medium_grid
     ):
         cfg = ServiceConfig(disk_dir=tmp_path)
-        with ReorderService(cfg, shards=2) as svc:
+        with ReorderService(cfg) as svc:
             svc.reorder(medium_grid)
-        with ReorderService(cfg, shards=2) as svc:
+        with ReorderService(cfg) as svc:
             warm = svc.reorder(medium_grid)
             assert svc.cache.stats_dict()["disk_hits"] == 1
         assert warm.phase_ns["cache"] > 0
@@ -582,8 +639,8 @@ class TestCacheHitTiming:
         assert set(hits[0].phase_ns) == {"cache"}
         assert "cache" not in hits[1].phase_ns  # computed
         # a path spec builds a fresh cache per call: the second is a disk hit
-        reorder(small_grid, cache=str(tmp_path), shards=2)
-        disk = reorder(small_grid, cache=str(tmp_path), shards=2)
+        reorder(small_grid, cache=str(tmp_path))
+        disk = reorder(small_grid, cache=str(tmp_path))
         assert disk.phase_ns["cache"] > 0
 
 
@@ -708,7 +765,7 @@ class TestLifecycle:
         mats = [random_symmetric(40 + i, 0.1, 300 + i) for i in range(16)]
         refs = [reorder(m, method="serial").permutation.tobytes() for m in mats]
         before = set(threading.enumerate())
-        svc = ReorderService(ServiceConfig(batch_window_ms=50), shards=4)
+        svc = ReorderService(ServiceConfig(batch_window_ms=50))
         futs = [svc.submit(m) for m in mats]
         svc.close()
         for fut, ref in zip(futs, refs):
@@ -728,3 +785,196 @@ class TestLifecycle:
             svc.reorder(small_grid)
         names = [s.name for s in tel.tracer.records()]
         assert "service.request" in names
+
+
+class TestCacheOutcomeCounts:
+    """Each request counts one cache outcome: for a cache only the service
+    uses, ``hits + misses == service.requests``."""
+
+    @pytest.mark.parametrize(
+        "window_ms", [0.0, 25.0], ids=["per-request", "batched"]
+    )
+    def test_hits_plus_misses_equal_requests(
+        self, gated, window_ms, medium_grid
+    ):
+        mats = [random_symmetric(40, 0.1, 900 + i) for i in range(4)]
+        cfg = ServiceConfig(
+            n_workers=2, batch_window_ms=window_ms, max_batch=8
+        )
+        with ReorderService(cfg) as svc:
+            # cold, with four duplicates coalescing while it is in flight
+            futs = [svc.submit(medium_grid) for _ in range(5)]
+            gated.wait_entered()
+            gated.release()
+            for f in futs:
+                f.result(timeout=30)
+            svc.reorder(medium_grid)  # warm
+            svc.cache.invalidate(cache_key(medium_grid))
+            svc.reorder(medium_grid)  # invalidated: computes again
+            svc.reorder_many(mats)  # cold, grouped when batched
+            svc.reorder_many(mats)  # warm
+            st = svc.stats()
+        assert st["service.requests"] == 5 + 1 + 1 + 4 + 4
+        assert st["service.computed"] == 1 + 1 + 4
+        assert st["service.coalesced"] == 4
+        assert st["cache"]["hits"] == 1 + 4
+        assert (
+            st["cache"]["hits"] + st["cache"]["misses"]
+            == st["service.requests"]
+        )
+
+
+class TestAsyncReorderService:
+    def test_reorder_matches_sync_cold_and_warm(self, medium_grid):
+        ref = reorder(medium_grid, method="serial")
+
+        async def run():
+            async with AsyncReorderService() as svc:
+                cold = await svc.reorder(medium_grid, method="serial")
+                warm = await svc.reorder(medium_grid, method="serial")
+                assert svc.pending == 0
+                assert svc.stats()["service.computed"] == 1
+                return cold, warm
+
+        cold, warm = asyncio.run(run())
+        assert cold.permutation.tobytes() == ref.permutation.tobytes()
+        assert warm.permutation.tobytes() == ref.permutation.tobytes()
+
+    def test_reorder_many_gathers_in_order(self):
+        mats = [random_symmetric(40, 0.1, seed=20 + i) for i in range(6)]
+        expect = [reorder(m).permutation.tobytes() for m in mats]
+
+        async def run():
+            async with AsyncReorderService() as svc:
+                got = await svc.reorder_many(mats)
+                return [r.permutation.tobytes() for r in got]
+
+        assert asyncio.run(run()) == expect
+
+    def test_timeout_raises_service_timeout(self, gated, small_grid):
+        svc = ReorderService(ServiceConfig(n_workers=1))
+
+        async def run():
+            front = AsyncReorderService(service=svc)
+            with pytest.raises(ServiceTimeoutError):
+                await front.reorder(small_grid, timeout=0.2)
+            await front.aclose()  # not owned: must leave svc open
+            assert not svc._closed
+
+        try:
+            asyncio.run(run())
+        finally:
+            gated.release()
+            svc.close()
+
+    def test_config_and_service_are_exclusive(self):
+        svc = ReorderService()
+        try:
+            with pytest.raises(ValueError):
+                AsyncReorderService(ServiceConfig(), service=svc)
+        finally:
+            svc.close()
+
+
+class TestCacheCLI:
+    @pytest.fixture
+    def populated(self, tmp_path):
+        """A disk tier holding four entries; their digests."""
+        root = tmp_path / "cache"
+        mats = [random_symmetric(60, 0.05, seed=500 + i) for i in range(4)]
+        with ReorderService(ServiceConfig(disk_dir=root)) as svc:
+            for m in mats:
+                svc.reorder(m)
+        return root, sorted(cache_key(m).digest for m in mats)
+
+    def test_listing_and_json(self, populated, capsys):
+        root, digests = populated
+        assert cli_main(["cache", str(root)]) == 0
+        assert f"4 entries in {root}" in capsys.readouterr().out
+        assert cli_main(["cache", str(root), "--json"]) == 0
+        entries = json.loads(capsys.readouterr().out)
+        assert sorted(e["digest"] for e in entries) == digests
+
+    def test_invalidate_by_prefix(self, populated, capsys):
+        root, digests = populated
+        assert cli_main(["cache", str(root), "--invalidate", digests[0][:12]]) == 0
+        assert f"removed {digests[0]}" in capsys.readouterr().out
+        assert cli_main(["cache", str(root), "--invalidate", digests[0]]) == 1
+        assert len(list(root.glob("*.npz"))) == 3
+
+    def test_invalidate_ambiguous_prefix_fails(self, populated, capsys):
+        root, _digests = populated
+        (root / "ffff00.npz").touch()
+        (root / "ffff11.npz").touch()
+        assert cli_main(["cache", str(root), "--invalidate", "ffff"]) == 1
+        assert "ambiguous" in capsys.readouterr().err
+
+    def test_clear(self, populated, capsys):
+        root, _digests = populated
+        assert cli_main(["cache", str(root), "--clear"]) == 0
+        assert f"cleared 4 entries from {root}" in capsys.readouterr().out
+        assert not list(root.glob("*.npz"))
+
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--matrix", "bcspwr10", "--shards", "4"],
+        ["cache", ".", "--shard", "0"],
+    ], ids=["serve-shards", "cache-shard"])
+    def test_removed_shard_flags_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestDeprecatedShards:
+    """``shards=`` warns once on each of its four surfaces, naming
+    ``cache_capacity``, and changes nothing else."""
+
+    @staticmethod
+    def _warned_once(record):
+        (w,) = [w for w in record if w.category is DeprecationWarning]
+        assert "cache_capacity" in str(w.message)
+        assert w.filename == __file__  # points at the caller
+
+    def test_reorder(self, tmp_path, small_grid):
+        ref = reorder(small_grid, cache=str(tmp_path / "one"))
+        with pytest.warns(DeprecationWarning) as record:
+            got = reorder(small_grid, cache=str(tmp_path / "old"), shards=4)
+        self._warned_once(record)
+        assert got.permutation.tobytes() == ref.permutation.tobytes()
+        # one tier: the entry lands in the directory itself
+        assert len(list((tmp_path / "old").glob("*.npz"))) == 1
+        assert not list((tmp_path / "old").glob("shard-*"))
+
+    def test_reorder_many(self, small_grid, medium_grid):
+        ref = reorder_many([small_grid, medium_grid])
+        with pytest.warns(DeprecationWarning) as record:
+            got = reorder_many([small_grid, medium_grid], shards=2)
+        self._warned_once(record)
+        assert [r.permutation.tobytes() for r in got] == [
+            r.permutation.tobytes() for r in ref
+        ]
+
+    def test_service(self, small_grid):
+        cfg = ServiceConfig(cache_capacity=8)
+        with ReorderService(cfg) as svc:
+            ref = svc.reorder(small_grid).permutation.tobytes()
+        assert ShardedService is ReorderService  # alias for one release
+        with pytest.warns(DeprecationWarning) as record:
+            svc = ShardedService(cfg, shards=4)
+        self._warned_once(record)
+        with svc:
+            assert svc.reorder(small_grid).permutation.tobytes() == ref
+            assert isinstance(svc.cache, PermutationCache)
+            assert svc.stats()["cache"]["capacity"] == 8
+
+    def test_async_service(self, small_grid):
+        async def run(**kw):
+            async with AsyncReorderService(**kw) as svc:
+                return (await svc.reorder(small_grid)).permutation.tobytes()
+
+        ref = asyncio.run(run())
+        with pytest.warns(DeprecationWarning) as record:
+            got = asyncio.run(run(shards=2))
+        self._warned_once(record)
+        assert got == ref
