@@ -664,6 +664,23 @@ class TestInvalidation:
             assert len(cache) == 0
             assert not list(tmp_path.glob("*.npz"))
 
+    def test_invalidate_drops_both_tiers_and_recomputes(
+        self, small_grid, tmp_path
+    ):
+        # the service's own disk-backed cache: once invalidated, the next
+        # request recomputes instead of hitting the disk tier, and persists
+        # the entry again
+        cfg = ServiceConfig(disk_dir=tmp_path / "cache")
+        with ReorderService(cfg) as svc:
+            cold = svc.reorder(small_grid).permutation.tobytes()
+            key = cache_key(small_grid)
+            assert svc.cache.invalidate(key) == 2  # memory + disk
+            assert svc.cache.invalidate(key) == 0
+            again = svc.reorder(small_grid).permutation.tobytes()
+            assert svc.stats()["service.computed"] == 2
+        assert again == cold
+        assert len(list((tmp_path / "cache").glob("*.npz"))) == 1
+
     def test_invalidate_treats_vanished_file_as_not_held(
         self, small_grid, tmp_path, monkeypatch
     ):
@@ -887,10 +904,15 @@ class TestCacheCLI:
                 svc.reorder(m)
         return root, sorted(cache_key(m).digest for m in mats)
 
-    def test_listing_and_json(self, populated, capsys):
+    def test_listing(self, populated, capsys):
         root, digests = populated
         assert cli_main(["cache", str(root)]) == 0
-        assert f"4 entries in {root}" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert f"4 entries in {root}" in out
+        assert all(d[:12] in out for d in digests)
+
+    def test_json_listing(self, populated, capsys):
+        root, digests = populated
         assert cli_main(["cache", str(root), "--json"]) == 0
         entries = json.loads(capsys.readouterr().out)
         assert sorted(e["digest"] for e in entries) == digests
