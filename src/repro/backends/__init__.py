@@ -1,9 +1,9 @@
 """Execution-backend registry for RCM methods.
 
 Importing this package registers the built-in backends; every
-method-string surface in the library (dispatch, degradation chains, CLI
-choices, cache keys, docs) resolves through it, and ``method="auto"``
-resolves to :data:`AUTO_METHOD`.
+method-string surface in the library (dispatch, CLI choices, cache keys,
+docs) resolves through it, and ``method="auto"`` resolves to
+:data:`AUTO_METHOD`.
 See :mod:`repro.backends.base` for the model and
 :mod:`repro.backends.builtin` for the built-in registrations.
 """
@@ -20,9 +20,7 @@ from repro.backends.base import (
     backends,
     capability_rows,
     capability_table,
-    degradation_order,
     get,
-    in_process_fallback,
     is_registered,
     method_choices,
     names,
@@ -47,8 +45,6 @@ __all__ = [
     "names",
     "backends",
     "method_choices",
-    "degradation_order",
-    "in_process_fallback",
     "capability_rows",
     "capability_table",
 ]

@@ -8,10 +8,9 @@ turns that decision into data: each method registers a :class:`Backend`
 carrying its run callable plus capability metadata (kind, which options it
 honors, whether it emits :class:`~repro.machine.stats.RunStats`).
 Everything that used to hard-code method names — the ``core/api.py``
-dispatch chain, the service and process-pool degradation chains, the CLI
-``choices``, the cache key canonicalization, the ``docs/api.md`` table —
-derives from this registry instead, so adding a ninth backend is one
-``register()`` call.
+dispatch chain, the CLI ``choices``, the cache key canonicalization, the
+``docs/api.md`` table — derives from this registry instead, so adding a
+ninth backend is one ``register()`` call.
 
 ``method="auto"`` is a rule, not a selector: it always runs
 :data:`AUTO_METHOD`.  Every backend returns the same permutation, so
@@ -46,8 +45,6 @@ __all__ = [
     "names",
     "backends",
     "method_choices",
-    "degradation_order",
-    "in_process_fallback",
     "capability_rows",
     "capability_table",
 ]
@@ -87,11 +84,8 @@ class Backend:
 
     The capability flags describe which request options the backend
     actually reads — the pipeline passes everything either way, but the
-    flags drive the generated capability table, the degradation chains and
-    cache-key documentation.  ``fallback_rank`` orders the declarative
-    degradation chain: backends with a rank are appended (ascending) to
-    every chain; ``None`` means the backend never serves as a degradation
-    target.
+    flags drive the generated capability table and cache-key
+    documentation.
     """
 
     name: str
@@ -103,7 +97,6 @@ class Backend:
     honors_config: bool = False
     honors_seed: bool = False
     emits_stats: bool = False
-    fallback_rank: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
@@ -126,7 +119,6 @@ class Backend:
             "config": self.honors_config,
             "seed": self.honors_seed,
             "stats": self.emits_stats,
-            "fallback_rank": self.fallback_rank,
             "summary": self.summary,
         }
 
@@ -189,44 +181,6 @@ def backends() -> Tuple[Backend, ...]:
 def method_choices() -> Tuple[str, ...]:
     """What a ``method=`` argument may be: ``"auto"`` plus every backend."""
     return ("auto",) + names()
-
-
-def degradation_order(method: str) -> Tuple[str, ...]:
-    """Methods tried in order when ``method`` fails environmentally.
-
-    Declarative: the requested method first, then every backend that
-    declares a ``fallback_rank``, ascending, deduplicated.  Both the
-    service layer and the process-pool executor derive their chains from
-    this one function — every backend returns the identical permutation,
-    so degradation changes latency, never the answer.  ``method`` need not
-    be registered (a future optional backend): the chain still leads to
-    the registered targets.
-    """
-    chain: List[str] = [method]
-    ranked = sorted(
-        (b for b in _REGISTRY.values() if b.fallback_rank is not None),
-        key=lambda b: b.fallback_rank,
-    )
-    for b in ranked:
-        if b.name not in chain:
-            chain.append(b.name)
-    return tuple(chain)
-
-
-def in_process_fallback(method: str = KIND_PROCESS) -> str:
-    """First degradation target of ``method`` that runs in-process.
-
-    The process-pool executor uses this when ``fork`` is unavailable or
-    the pool breaks: the first ranked backend whose kind is not
-    ``"process"`` (today: the vectorized kernel).
-    """
-    for name in degradation_order(method)[1:]:
-        backend = _REGISTRY.get(name)
-        if backend is not None and backend.kind != KIND_PROCESS:
-            return name
-    raise BackendUnavailableError(
-        f"no in-process degradation target registered for {method!r}"
-    )
 
 
 def _mark(flag: bool) -> str:

@@ -118,7 +118,6 @@ register(Backend(
     kind=KIND_SERIAL,
     summary="Alg. 1 — the pure-Python single-threaded ground truth",
     run_component=_run_serial,
-    fallback_rank=1,
 ))
 
 register(Backend(
@@ -126,7 +125,6 @@ register(Backend(
     kind=KIND_VECTORIZED,
     summary="level-synchronous NumPy frontier kernel",
     run_component=_run_vectorized,
-    fallback_rank=0,
 ))
 
 register(Backend(

@@ -19,16 +19,18 @@ import time
 from typing import List, Optional, Sequence
 
 from repro import backends
-from repro.backends import KIND_SERIAL, KIND_VECTORIZED
+from repro.backends import KIND_SERIAL, KIND_SIMULATED, KIND_VECTORIZED
 from repro.bench.report import render_table, write_csv
 from repro.telemetry.events import SCHEMA, git_sha, host_info
 
 __all__ = ["DEFAULT_METHODS", "largest_matrix_name", "measure", "main"]
 
-#: methods compared by default — the backends with real wall-clock
-#: ambitions: the process pool and its degradation chain (NumPy frontier
-#: kernel, serial reference), listed reference first
-DEFAULT_METHODS = tuple(reversed(backends.degradation_order("parallel")))
+#: methods compared by default: every backend that runs on this host's
+#: hardware rather than a simulated machine, in registration order (the
+#: serial reference first), so ``auto``'s backend is always timed
+DEFAULT_METHODS = tuple(
+    b.name for b in backends.backends() if b.kind != KIND_SIMULATED
+)
 
 #: ``--quick`` keeps only single-process array kernels (no pool startup)
 _QUICK_KINDS = (KIND_SERIAL, KIND_VECTORIZED)
@@ -104,7 +106,8 @@ def main(argv: Optional[Sequence[str]] = None) -> List[dict]:
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--workers", type=int, default=4)
     parser.add_argument("--quick", action="store_true",
-                        help="one repeat, serial+vectorized only")
+                        help="one repeat, serial- and vectorized-kind "
+                             "methods only")
     parser.add_argument("--csv", default=None)
     parser.add_argument("--json", default=None,
                         help="write a BENCH-style JSON artifact here")

@@ -327,8 +327,10 @@ def cmd_serve(args) -> int:
     file path or a named test-set analogue; blank lines and ``#`` comments
     ignored), optionally cycled ``--repeat`` times — repeated patterns are
     served from the content-hash cache and concurrent duplicates coalesce
-    onto one computation.  Prints per-request outcomes and the service
-    counters; see ``docs/service.md``.
+    onto one computation.  With ``--max-pending`` computations in flight,
+    the next submission waits for the oldest one to finish, so nothing is
+    rejected.  Prints per-request outcomes and the service counters; see
+    ``docs/service.md``.
 
     SIGTERM/SIGINT trigger a graceful shutdown: the ``/statusz`` state
     flips to ``shutting-down``, result gathering stops, final telemetry is
@@ -410,15 +412,26 @@ def cmd_serve(args) -> int:
                 ).start()
                 print(f"metrics endpoint listening on {server.url}",
                       file=sys.stderr)
-            # submit everything up front so identical in-flight specs
-            # coalesce, then gather in order
+            # submit up front so identical in-flight specs coalesce, then
+            # gather in order; a full queue waits on its oldest outstanding
+            # request instead of overflowing
             loaded = [(spec, _load_spec(spec)) for spec in specs]
-            futures = [
-                (spec, mat, svc.submit(
+            futures = []
+            oldest = 0
+            for spec, mat in loaded:
+                while (svc.pending >= cfg.max_pending
+                       and not stop_event.is_set()):
+                    while oldest < len(futures) and futures[oldest][2].done():
+                        oldest += 1
+                    if oldest < len(futures):
+                        futures[oldest][2].exception(args.timeout)
+                    else:
+                        time.sleep(0.001)  # a finished one is settling
+                if stop_event.is_set():
+                    break
+                futures.append((spec, mat, svc.submit(
                     mat, algorithm=args.algorithm, method=args.method,
-                ))
-                for spec, mat in loaded
-            ]
+                )))
             for spec, mat, fut in futures:
                 if stop_event.is_set():
                     break

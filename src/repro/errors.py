@@ -17,11 +17,10 @@ keep working unchanged):
 
   * :class:`ValidationError` (``ValueError``) — a request argument failed
     validation (unknown algorithm/method/start, out-of-range value,
-    asymmetric pattern...).  Raised by :mod:`repro.validation` and never
-    swallowed by degradation chains: a bad request must not burn fallbacks.
+    asymmetric pattern...).  Raised by :mod:`repro.validation`, the same
+    way by :func:`repro.reorder` and by the service.
   * :class:`BackendUnavailableError` (``ValueError``) — a method name does
-    not resolve to a registered execution backend, or a degradation chain
-    has no viable target in this install.
+    not resolve to a registered execution backend.
   * :class:`ServiceError` (``RuntimeError``) — base of service-level
     failures.
 
@@ -61,15 +60,14 @@ class ValidationError(ReproError, ValueError):
     """A request argument failed validation at the public boundary.
 
     Subclasses ``ValueError`` so existing ``except ValueError`` call sites
-    (and the degradation chains' bad-request passthrough) are unaffected.
+    are unaffected.
     """
 
 
 class BackendUnavailableError(ReproError, ValueError):
     """No registered execution backend satisfies the request.
 
-    Raised by the registry for unknown method names and by the degradation
-    machinery when a chain has no viable in-process target.
+    Raised by the registry for unknown method names.
     """
 
 

@@ -15,9 +15,8 @@ connected component) and :func:`_chunk_task` (a chunk of whole matrices).
 When ``fork`` or shared memory is not available, when the pool fails, or
 when the input is too small to pay for dispatch, every entry point runs
 the same code in-process instead — the caller always gets the identical
-result.  The in-process target comes from the backend registry's
-degradation chain (:func:`repro.backends.in_process_fallback`), the same
-declaration the service layer's fallback chain derives from.
+result.  This is the one place a pool or shm failure is absorbed: the
+service layer above retries nothing.
 
 Telemetry: spans ``parallel.components`` / ``parallel.map`` wrap the
 dispatch, and counters ``parallel.tasks``, ``parallel.chunks``,
@@ -43,6 +42,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.vectorized import rcm_vectorized
 from repro.sparse.csr import CSRMatrix
 from repro import telemetry
 from repro.parallel import shm
@@ -200,7 +200,6 @@ def _component_task(
 ):
     """Order one component into its arena block; the WorkerReport when
     traced, else ``None``."""
-    from repro.core.vectorized import rcm_vectorized
 
     def body() -> None:
         out = shm.attach_arena(arena)
@@ -272,18 +271,13 @@ def _merge_reports(tel, reports, *, parent_span_id, trace_id) -> None:
         )
 
 
-def record_fallback(reason: str, *, prefix: str = "parallel") -> None:
-    """Bump the ``<prefix>.fallbacks`` counters for one degradation event.
-
-    The shared convention across execution layers: a total under
-    ``<prefix>.fallbacks`` plus one ``<prefix>.fallbacks.<reason>`` counter
-    per cause.  The process-pool layer records under ``parallel``; the
-    service layer reuses the same shape under ``service``.
-    """
+def record_fallback(reason: str) -> None:
+    """Count one in-process fallback: the ``parallel.fallbacks`` total plus
+    one ``parallel.fallbacks.<reason>`` counter per cause."""
     tel = telemetry.get()
     if tel.enabled:
-        tel.counter(f"{prefix}.fallbacks").add(1)
-        tel.counter(f"{prefix}.fallbacks.{reason}").add(1)
+        tel.counter("parallel.fallbacks").add(1)
+        tel.counter(f"parallel.fallbacks.{reason}").add(1)
 
 
 def _offsets(lengths: Sequence[int]) -> np.ndarray:
@@ -311,20 +305,13 @@ def rcm_components(
     back in input order and are bit-identical to running
     :func:`repro.core.vectorized.rcm_vectorized` per start in sequence.
     """
-    from repro import backends
-
     cfg = config or ParallelConfig()
     workers = resolve_workers(cfg.n_workers)
 
     def in_process(reason: str) -> List[np.ndarray]:
+        # the kernel the worker tasks run
         record_fallback(reason)
-        target = backends.get(backends.in_process_fallback("parallel"))
-        return [
-            target.run_component(
-                mat, int(s), total=total, n_workers=1, config=None, seed=0,
-            )[0]
-            for s, total in zip(starts, sizes)
-        ]
+        return [rcm_vectorized(mat, int(s)) for s in starts]
 
     if not starts:
         return []

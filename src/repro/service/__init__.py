@@ -4,7 +4,8 @@ The layer that turns :func:`repro.reorder` into something that can absorb
 traffic: a content-hash permutation cache (one reordering amortized over
 many downstream uses — the paper's whole premise), request coalescing so
 identical concurrent requests share one computation, and a bounded queue
-with backpressure and a graceful method-degradation chain.
+with backpressure.  A failed request raises what :func:`repro.reorder`
+raises.
 
 ::
 
@@ -31,7 +32,6 @@ from repro.service.core import (
     ServiceOverloadedError,
     ServiceTimeoutError,
     ShardedService,
-    fallback_chain,
 )
 from repro.service.aio import AsyncReorderService
 
@@ -48,5 +48,4 @@ __all__ = [
     "ServiceError",
     "ServiceOverloadedError",
     "ServiceTimeoutError",
-    "fallback_chain",
 ]

@@ -13,8 +13,8 @@ design:
   no extra thread: the pool thread that resolves the future wakes the
   loop directly.
 * Results, errors and semantics are exactly the synchronous service's —
-  same cache keys, same coalescing, same degradation chains, byte-
-  identical permutations — because the same service runs them.
+  same cache keys, same coalescing, same errors, byte-identical
+  permutations — because the same service runs them.
 
 The wrapper owns its backing service only when it created one; wrapping
 an existing :class:`~repro.service.core.ReorderService` leaves lifecycle

@@ -180,10 +180,10 @@ class PermutationCache:
     @staticmethod
     def _read_npz(path: Path) -> Optional[dict]:
         """The entry stored at ``path``; ``None`` when absent or unreadable."""
-        if not path.exists():
-            return None
         try:
-            with np.load(path) as npz:
+            # our own handle: np.load(path) leaves the file open when
+            # zipfile rejects a truncated archive
+            with open(path, "rb") as fh, np.load(fh) as npz:
                 entry = json.loads(bytes(npz["meta"].tobytes()).decode())
                 perm = npz["permutation"]
                 if not isinstance(entry, dict) or not all(
@@ -196,8 +196,9 @@ class PermutationCache:
                 )
             return entry
         except (OSError, KeyError, ValueError, EOFError, zipfile.BadZipFile):
-            # a torn/foreign file is a miss, never an error: truncation and
-            # bit flips raise BadZipFile, an empty file EOFError
+            # an absent, torn or foreign file is a miss, never an error:
+            # truncation and bit flips raise BadZipFile, an empty file
+            # EOFError
             return None
 
     def _disk_read(self, digest: str) -> Optional[dict]:

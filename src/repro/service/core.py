@@ -33,21 +33,17 @@ In-process sharding is retired: an explicit ``shards=`` warns
 ``DeprecationWarning`` and is ignored, and :data:`ShardedService` is
 another name for :class:`ReorderService`, both for one release.
 
-Failures degrade gracefully: when an execution method dies with an
-environmental error (broken pool, OS failure, memory pressure) the request
-falls back along the registry's declarative degradation chain
-(:func:`repro.backends.degradation_order`, e.g.
-``parallel -> vectorized -> serial``) — the same counter convention as
-``parallel.fallbacks.*``, recorded as ``service.fallbacks.<method>``.  A
-requested method that is not registered at all (an optional backend absent
-from this install) degrades the same way at admission time instead of
-erroring.  Validation errors (``ValueError`` / ``TypeError``) always
-propagate: a bad request must not burn the chain.
+A request fails exactly as :func:`repro.reorder` fails: a bad option
+raises :class:`~repro.errors.ValidationError` from :meth:`submit`, and a
+malformed pattern or a backend error reaches the caller's future
+unchanged, with nothing cached under its key.  The process pool absorbs
+its own failures in-process (``parallel.fallbacks.*``); the service
+retries nothing.
 
 Telemetry: span ``service.request`` per computation, counters
 ``service.requests`` / ``service.computed`` / ``service.coalesced`` /
-``service.rejected`` / ``service.timeouts`` / ``service.fallbacks.*`` and
-the ``service.queue.depth`` gauge.  See ``docs/service.md``.
+``service.rejected`` / ``service.timeouts`` and the
+``service.queue.depth`` gauge.  See ``docs/service.md``.
 """
 
 from __future__ import annotations
@@ -59,9 +55,8 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Union
 
-from repro import backends
 from repro.errors import (
     ServiceError,
     ServiceOverloadedError,
@@ -71,7 +66,6 @@ from repro.sparse.csr import CSRMatrix
 from repro.core.api import ReorderResult
 from repro.service.keys import CacheKey, cache_key
 from repro.service.cache import PermutationCache
-from repro.parallel.executor import record_fallback
 from repro import telemetry
 from repro.telemetry import context as tctx
 from repro.validation import warn_shards
@@ -83,14 +77,9 @@ __all__ = [
     "ServiceError",
     "ServiceOverloadedError",
     "ServiceTimeoutError",
-    "fallback_chain",
 ]
 
 _UNSET = object()
-
-#: environmental failures that trigger the method fallback chain;
-#: ``ValueError``/``TypeError`` (bad requests) always propagate
-_FALLBACK_EXCEPTIONS = (RuntimeError, OSError, MemoryError)
 
 #: warm-hit latency buckets (sub-millisecond fidelity; hits are lookups,
 #: not computations, so the default ms-flavoured buckets are far too coarse)
@@ -118,9 +107,8 @@ class ServiceConfig:
     ``submit_timeout`` is how long :meth:`ReorderService.submit` may block
     for a free slot before rejecting; ``request_timeout`` is the default
     deadline of blocking :meth:`ReorderService.reorder` calls (``None`` =
-    wait forever).  ``fallback=False`` disables the method degradation
-    chain (the first error propagates).  ``cache_capacity`` is the memory
-    tier size of the service's one cache.
+    wait forever).  ``cache_capacity`` is the memory tier size of the
+    service's one cache.
 
     ``batch_window_ms > 0`` turns on batched admission: after the first
     queued miss the admission thread waits up to that many milliseconds
@@ -135,7 +123,6 @@ class ServiceConfig:
     request_timeout: Optional[float] = None
     cache_capacity: int = 128
     disk_dir: Optional[Union[str, Path]] = None
-    fallback: bool = True
     batch_window_ms: float = 0.0
     max_batch: int = 16
 
@@ -148,20 +135,6 @@ class ServiceConfig:
             raise ValueError("batch_window_ms must be >= 0")
         if self.max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-
-
-def fallback_chain(algorithm: str, method: str) -> Tuple[str, ...]:
-    """Methods tried in order for one request.
-
-    RCM degrades along the registry's declarative chain — the requested
-    method, then every backend with a ``fallback_rank``, ascending (today
-    ``vectorized`` then ``serial``).  Every method returns the identical
-    permutation, so falling back changes latency, never the answer.
-    Non-RCM algorithms have one strategy.
-    """
-    if algorithm != "rcm":
-        return (method,)
-    return backends.degradation_order(method)
 
 
 def _call_reorder(mat: CSRMatrix, kwargs: dict) -> ReorderResult:
@@ -256,7 +229,6 @@ class ReorderService:
             "coalesced": 0,
             "rejected": 0,
             "timeouts": 0,
-            "fallbacks": 0,
         }
 
     # ------------------------------------------------------------------
@@ -280,7 +252,6 @@ class ReorderService:
         """
         if self._closed:
             raise ServiceError("service is closed")
-        method = self._admit_method(algorithm, method)
         key = cache_key(
             mat, algorithm=algorithm, method=method, start=start,
             symmetrize=symmetrize,
@@ -395,30 +366,6 @@ class ReorderService:
                 f"request did not complete within {timeout}s"
             ) from None
 
-    def _admit_method(self, algorithm: str, method: str) -> str:
-        """The method a request is actually admitted on.
-
-        A client may ask for an optional backend that never registered
-        here (GPU build, distributed build...).  With fallback enabled
-        such a request is admitted on the method's first registered
-        degradation target — counted as ``service.fallbacks.<method>`` —
-        instead of bouncing with a validation error.  Admission happens
-        before keying, because the admitted method is part of the key.
-        """
-        if (
-            not self.config.fallback
-            or algorithm != "rcm"
-            or method == "auto"
-            or backends.is_registered(method)
-        ):
-            return method
-        for m in backends.degradation_order(method)[1:]:
-            if backends.is_registered(m):
-                self._count("fallbacks")
-                record_fallback(method, prefix="service")
-                return m
-        return method
-
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
@@ -433,33 +380,12 @@ class ReorderService:
                 request_id=ctx.request_id if ctx is not None else None,
             ):
                 self._count("computed")
-                result = self._execute(_call_reorder, mat, kwargs)
+                result = _call_reorder(mat, kwargs)
                 # cache before the future resolves so a waiter that
                 # arrives after coalescing cleanup finds the entry, never
                 # a stale gap
                 self.cache.put(key, result)
                 return result
-
-    def _execute(self, call: Callable, payload, kwargs: dict):
-        """``call(payload, kwargs)`` down the method degradation chain.
-
-        ``call`` is :func:`_call_reorder` for one request or
-        :func:`_call_reorder_many` for an admission group, which falls
-        back together.  With ``fallback=False`` the chain is the requested
-        method alone.
-        """
-        chain = (
-            fallback_chain(kwargs["algorithm"], kwargs["method"])
-            if self.config.fallback else (kwargs["method"],)
-        )
-        for i, m in enumerate(chain):
-            try:
-                return call(payload, {**kwargs, "method": m})
-            except _FALLBACK_EXCEPTIONS:
-                if i + 1 == len(chain):
-                    raise
-                self._count("fallbacks")
-                record_fallback(m, prefix="service")
 
     # ------------------------------------------------------------------
     # batched admission
@@ -571,7 +497,7 @@ class ReorderService:
             ):
                 for _ in items:
                     self._count("computed")
-                results = self._execute(_call_reorder_many, mats, kwargs)
+                results = _call_reorder_many(mats, kwargs)
                 for key, result, fut, ok in zip(
                     keys, results, futures, live
                 ):
@@ -588,7 +514,9 @@ class ReorderService:
             self._inflight.pop(digest, None)
             self._pending -= 1
             self._set_depth()
-        self._slots.release()
+            # under the lock, so a submitter that reads ``pending`` below
+            # ``max_pending`` always finds a free slot
+            self._slots.release()
 
     # ------------------------------------------------------------------
     # bookkeeping

@@ -130,7 +130,6 @@ METRIC_INVENTORY: Tuple[Tuple[str, str, str], ...] = (
     ("service.coalesced", "counter", "requests piggybacked on an in-flight twin"),
     ("service.rejected", "counter", "requests refused by backpressure"),
     ("service.timeouts", "counter", "requests that hit their deadline"),
-    ("service.fallbacks.*", "counter", "degradations taken, by landing method"),
     ("service.cache.hits", "counter", "memory-cache hits"),
     ("service.cache.misses", "counter", "memory-cache misses"),
     ("service.cache.disk_hits", "counter", "disk-cache hits"),

@@ -87,13 +87,6 @@ DEFAULT_SLOS: Tuple[SLO, ...] = (
         direction="min",
     ),
     SLO(
-        name="service_fallback_rate",
-        description="degraded requests over admitted requests",
-        signal="service_fallback_rate",
-        objective=0.05,
-        direction="max",
-    ),
-    SLO(
         name="speculation_drop_rate",
         description="speculatively discovered nodes later dropped",
         signal="speculation_drop_rate",
@@ -152,10 +145,6 @@ def collect_signals(snapshot: dict) -> Dict[str, Optional[float]]:
 
     hits = counters.get("service.cache.hits", 0)
     misses = counters.get("service.cache.misses", 0)
-    requests = counters.get("service.requests", 0)
-    fallbacks = sum(
-        v for k, v in counters.items() if k.startswith("service.fallbacks.")
-    )
     discovered = counters.get("threads.speculation.discovered", 0)
     dropped = counters.get("threads.speculation.dropped", 0)
 
@@ -164,7 +153,6 @@ def collect_signals(snapshot: dict) -> Dict[str, Optional[float]]:
             histograms.get("service.hit_latency_ms"), 0.99
         ),
         "cache_hit_ratio": _ratio(hits, hits + misses),
-        "service_fallback_rate": _ratio(fallbacks, requests),
         "speculation_drop_rate": _ratio(dropped, discovered),
     }
 

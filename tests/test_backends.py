@@ -1,5 +1,4 @@
-"""The execution-backend registry: model, the ``auto`` rule, degradation,
-extension."""
+"""The execution-backend registry: model, the ``auto`` rule, extension."""
 
 from __future__ import annotations
 
@@ -150,28 +149,6 @@ class TestAutoRule:
         assert via(_INPUTS, monkeypatch) == [AUTO_METHOD] * len(_INPUTS)
 
 
-class TestDegradation:
-    def test_chain_starts_with_request_then_ranked(self):
-        assert backends.degradation_order("parallel") == (
-            "parallel", "vectorized", "serial",
-        )
-        assert backends.degradation_order("vectorized") == (
-            "vectorized", "serial",
-        )
-        assert backends.degradation_order("serial") == ("serial", "vectorized")
-
-    def test_unregistered_method_still_gets_a_chain(self):
-        assert backends.degradation_order("gpu-distributed") == (
-            "gpu-distributed", "vectorized", "serial",
-        )
-
-    def test_in_process_fallback_skips_process_kinds(self):
-        assert backends.in_process_fallback("parallel") == "vectorized"
-        assert backends.get(
-            backends.in_process_fallback("parallel")
-        ).kind != backends.KIND_PROCESS
-
-
 class TestCapabilityTable:
     def test_one_row_per_backend(self):
         table = backends.capability_table()
@@ -195,8 +172,8 @@ class TestCapabilityTable:
 
 class TestNinthBackend:
     """Registering a new backend is a one-file change: every surface —
-    dispatch, validation, CLI choices, degradation, docs table — picks it
-    up from the single ``register()`` call."""
+    dispatch, validation, CLI choices, docs table — picks it up from the
+    single ``register()`` call."""
 
     @pytest.fixture()
     def mirror(self):
@@ -223,9 +200,6 @@ class TestNinthBackend:
         assert "mirror" in backends.names()
         assert "mirror" in backends.method_choices()
         assert "| `mirror` |" in backends.capability_table()
-        assert backends.degradation_order("mirror") == (
-            "mirror", "vectorized", "serial",
-        )
 
     def test_cli_choices_follow(self, mirror):
         from repro.cli import build_parser

@@ -2,20 +2,33 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
 from repro import telemetry
 from repro.core.api import _reorder_rcm
+from repro.core.serial import rcm_serial
 from repro.matrices import generators as g
 from repro.parallel import (
     ParallelConfig,
+    executor,
     fork_available,
     map_matrices,
     rcm_components,
+    reset_pools,
     resolve_workers,
+    shm,
 )
 from repro.sparse.csr import CSRMatrix
+
+from tests.conftest import block_union
+
+
+def _die(*args, **kwargs):
+    """A worker task that kills its worker process, breaking the pool."""
+    os._exit(1)
 
 
 @pytest.fixture
@@ -115,3 +128,88 @@ class TestConfig:
 
     def test_fork_available_is_bool(self):
         assert isinstance(fork_available(), bool)
+
+
+@pytest.mark.skipif(
+    not (fork_available() and shm.shm_available()),
+    reason="the process pool needs fork and shared memory",
+)
+class TestPoolError:
+    """A broken pool or a failed shm publish is absorbed in-process once,
+    leaves no segment and no pool behind, and the next call builds a fresh
+    pool."""
+
+    CFG = ParallelConfig(n_workers=2, force_processes=True)
+
+    @pytest.fixture(autouse=True)
+    def tel(self):
+        reset_pools()
+        tel = telemetry.get()
+        tel.reset()
+        tel.enable()
+        yield tel
+        tel.disable()
+        tel.reset()
+        reset_pools()
+
+    @pytest.fixture
+    def four_grids(self):
+        mat = block_union([g.grid2d(40, 26) for _ in range(4)])
+        ref = _reorder_rcm(mat, method="serial")
+        return mat, ref.start_nodes, ref.component_sizes
+
+    def _components(self, mat, starts, sizes):
+        blocks = rcm_components(mat, starts, sizes=sizes, config=self.CFG)
+        for block, start in zip(blocks, starts):
+            assert block.tobytes() == rcm_serial(mat, start).tobytes()
+
+    def _map(self, mats):
+        results = map_matrices(mats, config=self.CFG)
+        for res, mat in zip(results, mats):
+            ref = _reorder_rcm(mat, method="serial")
+            assert res.permutation.tobytes() == ref.permutation.tobytes()
+
+    def _assert_absorbed(self, tel):
+        counters = tel.snapshot()["counters"]
+        assert counters["parallel.fallbacks.pool-error"] == 1
+        assert counters["parallel.fallbacks"] == 1
+        assert shm.active_segments() == ()
+        assert executor._POOLS == {}
+
+    def _assert_fresh_pool(self, tel):
+        assert len(executor._POOLS) == 1
+        assert tel.snapshot()["counters"]["parallel.fallbacks"] == 1
+        assert shm.active_segments() == ()
+
+    def test_worker_death_in_component_task(
+        self, tel, monkeypatch, four_grids
+    ):
+        monkeypatch.setattr(executor, "_component_task", _die)
+        self._components(*four_grids)
+        self._assert_absorbed(tel)
+        monkeypatch.undo()
+        self._components(*four_grids)
+        self._assert_fresh_pool(tel)
+
+    def test_worker_death_in_chunk_task(self, tel, monkeypatch):
+        mats = [g.grid2d(14 + i, 14) for i in range(6)]
+        monkeypatch.setattr(executor, "_chunk_task", _die)
+        self._map(mats)
+        self._assert_absorbed(tel)
+        monkeypatch.undo()
+        self._map(mats)
+        self._assert_fresh_pool(tel)
+
+    def test_shm_publish_failure(self, tel, monkeypatch, four_grids):
+        real = shm.ShmBatch.publish_csr
+
+        def publish_then_fail(batch, mat):
+            real(batch, mat)  # a segment exists when the error hits
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(shm.ShmBatch, "publish_csr", publish_then_fail)
+        self._components(*four_grids)
+        self._assert_absorbed(tel)
+        monkeypatch.undo()
+        self._components(*four_grids)
+        self._assert_fresh_pool(tel)

@@ -4,9 +4,10 @@ Covers the tentpole guarantees of :mod:`repro.service`: cold/warm
 bit-identity with ``method="serial"``, request coalescing (exactly one
 underlying computation for concurrent duplicates, observable through the
 ``service.coalesced`` counter), bounded-queue backpressure, per-request
-timeouts, the graceful-degradation chain, the disk cache tier, explicit
-invalidation, one cache outcome per request, the asyncio front door, the
-``repro cache`` CLI and the deprecated ``shards=`` keyword.  The
+timeouts, failures that propagate as they do from the facade, the disk
+cache tier, explicit invalidation, one cache outcome per request, the
+asyncio front door, the ``repro serve`` and ``repro cache`` CLIs and the
+deprecated ``shards=`` keyword.  The
 cross-method value battery lives in ``test_equivalence_matrix.py``;
 cache-key properties in ``test_service_properties.py``.
 """
@@ -14,15 +15,19 @@ cache-key properties in ``test_service_properties.py``.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
+import gc
 import json
 import sys
 import threading
+import time
+import warnings
 
 import numpy as np
 import pytest
 
 import repro.service.core as service_core
-from repro import telemetry
+from repro import backends, telemetry
 from repro.backends import AUTO_METHOD
 from repro.cli import main as cli_main
 from repro.errors import ReproError, ValidationError
@@ -38,10 +43,10 @@ from repro.service import (
     ServiceTimeoutError,
     ShardedService,
     cache_key,
-    fallback_chain,
     pattern_digest,
 )
 from repro.sparse.csr import CSRMatrix, coo_to_csr
+from repro.sparse.io import save_npz
 
 from tests.conftest import block_union
 
@@ -339,6 +344,33 @@ class TestBackpressure:
             gated.release()
             first.result(timeout=10)
 
+    def test_serve_waits_for_a_slot(self, gated, tmp_path, capsys):
+        # the first computation holds the only slot in the gate, so every
+        # later distinct spec finds the queue full; serve must wait for the
+        # slot instead of dying with ServiceOverloadedError
+        specs = []
+        for i, mat in enumerate([grid2d(5, 6), grid2d(6, 7), grid2d(7, 8)]):
+            path = tmp_path / f"m{i}.npz"
+            save_npz(mat, path)
+            specs += ["--matrix", str(path)]
+
+        def release_once_entered():
+            gated.wait_entered()
+            time.sleep(0.05)  # the next spec meets the full queue meanwhile
+            gated.release()
+
+        opener = threading.Thread(target=release_once_entered, daemon=True)
+        opener.start()
+        code = cli_main(
+            ["serve", *specs, "--max-pending", "1", "--repeat", "2", "--json"]
+        )
+        opener.join(timeout=10)
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert len(out["requests"]) == 6
+        assert out["stats"]["service.rejected"] == 0
+        assert out["stats"]["service.computed"] == 3  # the repeat hits
+
     def test_queue_depth_gauge(self, tel, gated, small_grid):
         with ReorderService(ServiceConfig(n_workers=1)) as svc:
             svc.submit(small_grid)
@@ -369,63 +401,62 @@ class TestTimeouts:
 
 
 class TestFallback:
-    def test_environment_error_degrades_to_next_method(
-        self, tel, monkeypatch, medium_grid
-    ):
-        real = service_core._call_reorder
-        failed = []
+    """There is none: a backend error reaches a service caller exactly as
+    it reaches a :func:`repro.reorder` caller, and nothing is cached for
+    it."""
 
-        def flaky(mat, kwargs):
-            if kwargs["method"] == "parallel":
-                failed.append(kwargs["method"])
-                raise RuntimeError("worker pool died")
-            return real(mat, kwargs)
+    def test_backend_error_propagates_like_the_facade(self):
+        boom = RuntimeError("compiled kernel bug")
+        real = backends.get("compiled")
 
-        monkeypatch.setattr(service_core, "_call_reorder", flaky)
-        ref = reorder(medium_grid, method="serial")
-        with ReorderService() as svc:
-            res = svc.reorder(medium_grid, method="parallel")
-        assert failed == ["parallel"]
-        assert res.permutation.tobytes() == ref.permutation.tobytes()
-        assert res.method == "vectorized"  # first surviving chain entry
-        assert svc.counters["fallbacks"] == 1
-        assert tel.counter("service.fallbacks.parallel").value == 1
+        def broken(mat, starts, *, sizes, n_workers, config, seed):
+            raise boom
 
-    def test_chain_shape(self):
-        assert fallback_chain("rcm", "parallel") == (
-            "parallel", "vectorized", "serial",
-        )
-        assert fallback_chain("rcm", "serial") == ("serial", "vectorized")
-        assert fallback_chain("rcm", "vectorized") == ("vectorized", "serial")
-        assert fallback_chain("sloan", "direct") == ("direct",)
-
-    def test_chain_derives_from_the_registry(self):
-        from repro import backends
-
-        for method in backends.names():
-            assert fallback_chain("rcm", method) == backends.degradation_order(
-                method
+        mats = [grid2d(6, 7), grid2d(7, 8)]
+        keys = [cache_key(m, method="compiled") for m in mats]
+        ref = reorder(mats[0], method="serial")
+        with ReorderService() as plain, ReorderService(
+            ServiceConfig(batch_window_ms=50)  # reorder_many: one group
+        ) as batched:
+            backends.register(
+                dataclasses.replace(real, run_matrix=broken), replace=True
             )
-
-    def test_unregistered_method_degrades_at_admission(self, tel, small_grid):
-        # a client asking for an optional backend this install lacks is
-        # served by the first registered degradation target, not bounced
-        ref = reorder(small_grid, method="vectorized")
-        with ReorderService() as svc:
-            res = svc.reorder(small_grid, method="gpu-distributed")
-        assert res.method == "vectorized"
-        assert res.permutation.tobytes() == ref.permutation.tobytes()
-        assert svc.counters["fallbacks"] == 1
-        assert tel.counter("service.fallbacks.gpu-distributed").value == 1
+            try:
+                with pytest.raises(RuntimeError) as exc:
+                    reorder(mats[0], method="compiled")
+                assert exc.value is boom
+                for svc in (plain, batched):
+                    for call in (
+                        lambda: svc.reorder(mats[0], method="compiled"),
+                        lambda: svc.submit(
+                            mats[0], method="compiled"
+                        ).result(10),
+                        lambda: svc.reorder_many(mats, method="compiled"),
+                    ):
+                        with pytest.raises(RuntimeError) as exc:
+                            call()
+                        assert exc.value is boom
+                    assert all(svc.cache._peek(k) is None for k in keys)
+            finally:
+                backends.register(real, replace=True)
+            for svc in (plain, batched):
+                computed = svc.counters["computed"]
+                res = svc.reorder(mats[0], method="compiled")
+                assert svc.counters["computed"] == computed + 1
+                assert res.permutation.tobytes() == ref.permutation.tobytes()
+                assert svc.cache._peek(keys[0]) is not None
+        assert plain.pending == 0 and batched.pending == 0
 
     def test_unregistered_method_rejected_when_fallback_disabled(
         self, small_grid
     ):
-        cfg = ServiceConfig(fallback=False)
-        with ReorderService(cfg) as svc:
-            with pytest.raises(ValueError, match="method must be one of"):
+        with pytest.raises(ValidationError) as facade_exc:
+            reorder(small_grid, method="gpu-distributed")
+        with ReorderService() as svc:
+            with pytest.raises(ValidationError) as exc:
                 svc.submit(small_grid, method="gpu-distributed")
-        assert svc.counters["fallbacks"] == 0
+        assert str(exc.value) == str(facade_exc.value)
+        assert "method must be one of" in str(exc.value)
 
     def test_validation_error_propagates_without_fallback(self, monkeypatch):
         calls = []
@@ -445,25 +476,17 @@ class TestFallback:
     def test_fallback_disabled_propagates_first_error(
         self, monkeypatch, small_grid
     ):
+        calls = []
+
         def broken(mat, kwargs):
+            calls.append(kwargs["method"])
             raise RuntimeError("no fallback expected")
 
         monkeypatch.setattr(service_core, "_call_reorder", broken)
-        cfg = ServiceConfig(fallback=False)
-        with ReorderService(cfg) as svc:
-            with pytest.raises(RuntimeError, match="no fallback expected"):
-                svc.reorder(small_grid)
-        assert svc.counters["fallbacks"] == 0
-
-    def test_exhausted_chain_raises_last_error(self, monkeypatch, small_grid):
-        def always_broken(mat, kwargs):
-            raise RuntimeError(f"{kwargs['method']} down")
-
-        monkeypatch.setattr(service_core, "_call_reorder", always_broken)
         with ReorderService() as svc:
-            with pytest.raises(RuntimeError, match="serial down"):
+            with pytest.raises(RuntimeError, match="no fallback expected"):
                 svc.reorder(small_grid, method="parallel")
-        assert svc.counters["fallbacks"] == 2  # parallel and vectorized
+        assert calls == ["parallel"]  # one attempt, no retry elsewhere
 
 
 class TestDiskTier:
@@ -515,10 +538,15 @@ class TestDiskTier:
         entry.write_bytes(data)
 
         key = cache_key(mat)
-        assert PermutationCache(disk_dir=tmp_path).get(key) is None
-        assert PermutationCache.disk_entries(tmp_path) == [
-            {"digest": entry.stem, "error": "unreadable"}
-        ]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert PermutationCache(disk_dir=tmp_path).get(key) is None
+            assert PermutationCache.disk_entries(tmp_path) == [
+                {"digest": entry.stem, "error": "unreadable"}
+            ]
+            gc.collect()
+        # the miss closes the entry's file: no descriptor is left open
+        assert not [w for w in caught if w.category is ResourceWarning]
 
         with ReorderService(ServiceConfig(disk_dir=tmp_path)) as svc2:
             res = svc2.reorder(mat)

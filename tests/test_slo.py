@@ -93,15 +93,11 @@ class TestCollectSignals:
         sig = slo.collect_signals(_snapshot())
         assert all(v is None for v in sig.values())
 
-    def test_fallback_and_drop_rates(self):
+    def test_drop_rate(self):
         sig = slo.collect_signals(_snapshot({
-            "service.requests": 20,
-            "service.fallbacks.serial": 1,
-            "service.fallbacks.vectorized": 1,
             "threads.speculation.discovered": 100,
             "threads.speculation.dropped": 25,
         }))
-        assert sig["service_fallback_rate"] == pytest.approx(0.1)
         assert sig["speculation_drop_rate"] == pytest.approx(0.25)
 
 

@@ -2,8 +2,8 @@
 """Guard: no literal RCM method-name tuples outside ``repro/backends``.
 
 The execution-backend registry (``repro.backends``) is the single source of
-method names — dispatch, ``method="auto"``, degradation chains, CLI
-choices, cache keys and docs all derive from it.  This script walks every
+method names — dispatch, ``method="auto"``, CLI choices, cache keys and
+docs all derive from it.  This script walks every
 module under ``src/repro`` (except the registry package itself) and fails
 if any tuple/list literal consists of two or more string constants that are
 all registered method names — i.e. a hand-maintained copy of the method
