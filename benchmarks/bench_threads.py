@@ -1,10 +1,11 @@
 """Real-thread backend benchmark: the GIL tax, measured.
 
 The `threads` method exists for correctness witnessing, not speed — on
-CPython its fine-grained locking and the GIL make it slower than serial
-(the calibration note: "GIL hinders fine-grained speculation").  This bench
-records the real wall-time ratio so the claim is a measured number, and
-verifies the permutation across thread counts along the way.
+CPython its workers take turns under one lock, one protocol step each, and
+with the GIL that makes it slower than serial (the calibration note: "GIL
+hinders fine-grained speculation").  This bench records the real wall-time
+ratio so the claim is a measured number, and verifies the permutation
+across thread counts along the way.
 """
 
 import numpy as np

@@ -12,9 +12,9 @@ Adapters normalize every kernel to one of two shapes:
 * ``run_matrix(mat, starts, *, sizes, n_workers, config, seed)`` →
   ``[permutation_block, ...]``
 
-Heavyweight or optional dependencies (the process pool, the OS-thread
-machine, the semiring kernel) are imported inside their adapters, exactly
-as the old dispatch chain did, so ``import repro`` stays cheap.
+Heavyweight or optional dependencies (the process pool, the semiring
+kernel) are imported inside their adapters, exactly as the old dispatch
+chain did, so ``import repro`` stays cheap.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from repro.core.batches import BatchConfig
 from repro.core.compiled import rcm_compiled
 from repro.core.leveled import rcm_leveled
 from repro.core.serial import rcm_serial
+from repro.core.threads import rcm_threads
 from repro.core.unordered import rcm_unordered
 from repro.core.vectorized import rcm_vectorized
 from repro.machine.costmodel import CPUCostModel
@@ -104,8 +105,6 @@ def _run_batch_gpu(mat, start, *, total, n_workers, config, seed):
 
 
 def _run_threads(mat, start, *, total, n_workers, config, seed):
-    from repro.core.threads import rcm_threads
-
     return rcm_threads(mat, start, n_threads=n_workers, total=total), None
 
 

@@ -1,357 +1,42 @@
 """Real-thread backend for batch RCM.
 
-This module runs the full batch protocol on genuine OS threads with locks
-and condition variables instead of the simulator.  On CPython it cannot show
-speedups (GIL, and this reproduction machine has one core) — its purpose is
-to validate the *protocol* under true asynchronous nondeterminism: whatever
-the OS scheduler does, the returned permutation must equal serial RCM.  The
-test-suite runs it repeatedly as a stress test.
+Each OS thread drives one :func:`repro.core.batch.worker_loop` coroutine,
+the Alg. 4/5 code behind every simulated figure, over one shared
+:func:`~repro.core.state.make_state` state.  A worker advances its
+coroutine one step (the code up to its next ``("cost", stage, _)`` event)
+at a time under one :class:`threading.Condition`, blocks on that condition
+at a ``wait`` event, and yields the CPU between steps, so the OS
+scheduler, not simulated time, picks which worker takes the next step.  A
+step runs whole under the lock, as atomic as an engine stage.  On CPython
+this cannot show speedups (the GIL); it checks the *protocol* under
+schedules no engine chose: whatever the OS does, the returned permutation
+must equal serial RCM.  The test-suite sweeps it as a stress test.
 
-Differences from the simulated path are confined to synchronization:
-
-* the mark array's ``atomicMin`` is a per-parent critical section;
-* the queue is a condition-variable-protected take-at-head monitor;
-* the signal chain notifies a single condition variable that waiting batches
-  re-check (the paper's busy-wait with back-off, expressed politely).
-
-Overhang forwarding and early signaling are active, so the interesting
-protocol paths are exercised; each worker holds one batch at a time
-(blocking waits) because multi-batch juggling adds nothing under the GIL.
+Telemetry: each step is one span on its worker's lane, named by the Fig. 6
+stage of the cost event that ends it, and a blocking wait is a ``Stall``
+span.  The ``threads.*`` counters are the run's
+:class:`~repro.machine.stats.RunStats`, set when the run ends.
 """
 
 from __future__ import annotations
 
+import os
 import threading
-from dataclasses import dataclass, field
+import time
+from types import SimpleNamespace
 from typing import List, Optional
 
 import numpy as np
 
-from repro.sparse.csr import CSRMatrix
-from repro.sparse.graph import bfs_levels
-from repro.core.batches import (
-    BatchConfig,
-    clamped_valences,
-    estimate_batch_count,
-    plan_ranges,
-)
-from repro.machine.signals import SignalState
 from repro import telemetry
+from repro.core.batch import worker_loop
+from repro.core.batches import BatchConfig
+from repro.core.state import make_state
+from repro.machine.costmodel import CPUCostModel
+from repro.machine.stats import Stage
+from repro.sparse.csr import CSRMatrix
 
 __all__ = ["rcm_threads"]
-
-DISCOVERED = int(SignalState.DISCOVERED)
-COUNTED = int(SignalState.COUNTED)
-COMPLETED = int(SignalState.COMPLETED)
-
-_UNDISCOVERED = np.iinfo(np.int64).max
-
-
-def _null_span(_name):
-    """Disabled-telemetry fast path: skip the Telemetry→Tracer dispatch."""
-    return telemetry.NULL_SPAN
-
-
-@dataclass
-class _Payload:
-    out_next: int
-    queue_next: int
-    overhang_start: int = 0
-    overhang_end: int = 0
-    overhang_valence: int = 0
-
-    @property
-    def overhang_nodes(self) -> int:
-        return self.overhang_end - self.overhang_start
-
-    def has_overhang(self) -> bool:
-        return self.overhang_end > self.overhang_start
-
-
-class _SharedState:
-    """Lock-protected shared run state for the threaded backend."""
-
-    def __init__(self, mat: CSRMatrix, start: int, total: int) -> None:
-        n = mat.n
-        self.mat = mat
-        self.valence = np.diff(mat.indptr)
-        self.marks = np.full(n, _UNDISCOVERED, dtype=np.int64)
-        self.marks[start] = -1
-        self.out = np.empty(total, dtype=np.int64)
-        self.out[0] = start
-        self.total = total
-        self.written = 1
-
-        self.mark_lock = threading.Lock()
-        self.monitor = threading.Condition()
-        # queue: ranges per slot; None = reserved but unfilled
-        self.slots: List[Optional[tuple]] = [(0, 1, False)]
-        self.cursor = 0
-        self.done = total == 1
-        # signals: outgoing state/payload per slot
-        self.sig_state: List[int] = []
-        self.sig_payload: List[Optional[_Payload]] = []
-        self.bootstrap = _Payload(out_next=1, queue_next=1)
-        self.failure: Optional[BaseException] = None
-
-    # -- signals (under monitor) ---------------------------------------
-    def _ensure_sig(self, i: int) -> None:
-        while len(self.sig_state) <= i:
-            self.sig_state.append(0)
-            self.sig_payload.append(None)
-
-    def incoming_state(self, i: int) -> int:
-        if i == 0:
-            return COMPLETED
-        with self.monitor:
-            self._ensure_sig(i - 1)
-            return self.sig_state[i - 1]
-
-    def incoming_payload(self, i: int) -> _Payload:
-        if i == 0:
-            return self.bootstrap
-        with self.monitor:
-            return self.sig_payload[i - 1]  # type: ignore[return-value]
-
-    def send(self, i: int, state: int, payload: Optional[_Payload] = None) -> None:
-        with self.monitor:
-            self._ensure_sig(i)
-            if state < self.sig_state[i]:
-                raise RuntimeError("signal downgrade")
-            if payload is not None and self.sig_payload[i] is None:
-                self.sig_payload[i] = payload
-            self.sig_state[i] = state
-            self.monitor.notify_all()
-
-    def wait_incoming(self, i: int, state: int) -> None:
-        if i == 0:
-            return
-        with self.monitor:
-            while True:
-                if self.failure is not None:
-                    raise RuntimeError("peer worker failed") from self.failure
-                self._ensure_sig(i - 1)
-                if self.sig_state[i - 1] >= state:
-                    return
-                self.monitor.wait(timeout=5.0)
-
-    # -- queue (under monitor) -------------------------------------------
-    def fill_slot(self, idx: int, rng: tuple) -> None:
-        with self.monitor:
-            while len(self.slots) <= idx:
-                self.slots.append(None)
-            if self.slots[idx] is not None:
-                raise RuntimeError(f"slot {idx} filled twice")
-            self.slots[idx] = rng
-            self.monitor.notify_all()
-
-    def take_next(self) -> Optional[tuple]:
-        """Blocking take-at-head; ``None`` means terminate."""
-        with self.monitor:
-            while True:
-                if self.failure is not None:
-                    raise RuntimeError("peer worker failed") from self.failure
-                if self.done:
-                    return None
-                if self.cursor < len(self.slots) and self.slots[self.cursor] is not None:
-                    idx = self.cursor
-                    self.cursor += 1
-                    a, b, empty = self.slots[idx]  # type: ignore[misc]
-                    return (idx, a, b, empty)
-                self.monitor.wait(timeout=5.0)
-
-    def write_output(self, pos: int, nodes: np.ndarray) -> None:
-        self.out[pos : pos + nodes.size] = nodes
-        with self.monitor:
-            self.written += int(nodes.size)
-            if self.written == self.total:
-                self.done = True
-                self.monitor.notify_all()
-
-
-def _process_batch(
-    state: _SharedState,
-    cfg: BatchConfig,
-    idx: int,
-    a: int,
-    b: int,
-    wid: int = 0,
-    tel: Optional[telemetry.Telemetry] = None,
-) -> None:
-    """One batch through the full protocol (Alg. 5, blocking waits).
-
-    ``wid`` is the worker lane for telemetry spans; stage names and counter
-    semantics mirror the simulator's :class:`~repro.machine.stats.RunStats`
-    (``Discover``/``Sort``/``Rediscover``/``Signal``/``addNewBatches``/
-    ``Stall``, ``threads.speculation.*``, ``threads.batches.*``).
-    """
-    if tel is None:
-        tel = telemetry.get()
-    if tel.enabled:
-        def span(name, _t=tel, _w=wid, _i=idx):
-            """Stage span pre-bound to this batch's telemetry context."""
-            return _t.span(name, category="threads", worker=_w, batch=_i)
-    else:
-        span = _null_span
-    mat = state.mat
-    indptr, indices = mat.indptr, mat.indices
-    parents = state.out[a:b]
-
-    s_early = state.incoming_state(idx)
-    # --- speculative discovery (atomicMin per parent) -------------------
-    nodes_l: List[np.ndarray] = []
-    ppos_l: List[np.ndarray] = []
-    with span("Discover"):
-        for li in range(parents.size):
-            p = parents[li]
-            ch = indices[indptr[p] : indptr[p + 1]]
-            if ch.size == 0:
-                continue
-            with state.mark_lock:
-                claim = state.marks[ch] > idx
-                fresh = ch[claim]
-                state.marks[fresh] = idx
-            if fresh.size:
-                nodes_l.append(fresh)
-                ppos_l.append(np.full(fresh.size, li, dtype=np.int64))
-    nodes = np.concatenate(nodes_l) if nodes_l else np.zeros(0, dtype=np.int64)
-    ppos = np.concatenate(ppos_l) if ppos_l else np.zeros(0, dtype=np.int64)
-    vals = state.valence[nodes]
-    if tel.enabled:
-        tel.counter("threads.speculation.discovered").add(int(nodes.size))
-        tel.histogram("threads.batch.discovered").observe(int(nodes.size))
-    s_mid = state.incoming_state(idx)
-
-    def redisc():
-        nonlocal nodes, ppos, vals
-        with span("Rediscover"):
-            with state.mark_lock:
-                alive = state.marks[nodes] >= idx
-            if tel.enabled:
-                dropped = int(nodes.size - alive.sum())
-                tel.counter("threads.speculation.rediscovery_passes").add(1)
-                tel.counter("threads.speculation.dropped").add(dropped)
-                tel.histogram("threads.batch.dropped").observe(dropped)
-            nodes, ppos, vals = nodes[alive], ppos[alive], vals[alive]
-
-    def signal_count() -> Optional[dict]:
-        if state.incoming_state(idx) < COUNTED:
-            return None
-        with span("Signal"):
-            return _signal_count_inner()
-
-    def _signal_count_inner() -> dict:
-        payload = state.incoming_payload(idx)
-        count = int(nodes.size)
-        val_sum = int(clamped_valences(vals, cfg.temp_limit).sum())
-        m_total = count + payload.overhang_nodes
-        v_total = val_sum + payload.overhang_valence
-        out_start = payload.out_next
-        out_end = out_start + count
-        gen_start = payload.overhang_start if payload.has_overhang() else out_start
-        successor = payload.queue_next > idx + 1
-        forward = (
-            cfg.overhang
-            and successor
-            and m_total > 0
-            and 2 * m_total < cfg.batch_size
-            and 2 * v_total < cfg.temp_limit
-        )
-        k = 0 if (forward or m_total == 0) else estimate_batch_count(m_total, v_total, cfg)
-        out_p = _Payload(out_next=out_end, queue_next=payload.queue_next + k)
-        if forward:
-            out_p.overhang_start = gen_start
-            out_p.overhang_end = out_end
-            out_p.overhang_valence = v_total
-            state.send(idx, COUNTED, out_p)
-            if tel.enabled:
-                tel.counter("threads.overhangs.forwarded").add(1)
-                tel.counter("threads.overhangs.nodes").add(m_total)
-        else:
-            state.send(idx, COMPLETED, out_p)
-        return dict(
-            count=count, out_start=out_start, gen_start=gen_start,
-            forward=forward, k=k, queue_start=payload.queue_next,
-        )
-
-    plan = None
-    exact = False
-    if cfg.early_signaling and s_early >= DISCOVERED:
-        state.send(idx, DISCOVERED)
-        exact = True
-        plan = signal_count()
-    elif cfg.early_signaling and s_mid >= DISCOVERED:
-        state.send(idx, DISCOVERED)
-        redisc()
-        exact = True
-        plan = signal_count()
-
-    # --- sort (speculative) -----------------------------------------------
-    if nodes.size > 1:
-        with span("Sort"):
-            order = np.lexsort((vals, ppos))
-            nodes, ppos, vals = nodes[order], ppos[order], vals[order]
-        if tel.enabled:
-            tel.counter("threads.speculation.sorted_elements").add(int(nodes.size))
-
-    with span("Stall"):
-        state.wait_incoming(idx, DISCOVERED)
-    if not exact:
-        if state.incoming_state(idx) >= DISCOVERED:
-            state.send(idx, DISCOVERED)
-        redisc()
-        if cfg.early_signaling:
-            plan = signal_count()
-
-    with span("Stall"):
-        state.wait_incoming(idx, COUNTED)
-    if plan is None:
-        plan = signal_count()
-        assert plan is not None
-
-    with span("addNewBatches"):
-        state.write_output(plan["out_start"], nodes)
-
-    with span("Stall"):
-        state.wait_incoming(idx, COMPLETED)
-    if plan["forward"]:
-        state.send(idx, COMPLETED)
-
-    if not plan["forward"] and plan["k"] > 0:
-        with span("addNewBatches"):
-            gen_start = plan["gen_start"]
-            out_end = plan["out_start"] + plan["count"]
-            gen_nodes = state.out[gen_start:out_end]
-            cvals = clamped_valences(state.valence[gen_nodes], cfg.temp_limit)
-            ranges = plan_ranges(cvals, plan["k"], cfg)
-            for j, (ra, rb) in enumerate(ranges):
-                state.fill_slot(
-                    plan["queue_start"] + j, (gen_start + ra, gen_start + rb, ra == rb)
-                )
-            if tel.enabled:
-                tel.counter("threads.batches.generated").add(len(ranges))
-
-
-def _worker(state: _SharedState, cfg: BatchConfig, wid: int = 0) -> None:
-    tel = telemetry.get()
-    try:
-        while True:
-            item = state.take_next()
-            if item is None:
-                return
-            idx, a, b, empty = item
-            if tel.enabled:
-                tel.counter("threads.batches.dequeued").add(1)
-                tel.counter(
-                    "threads.batches.empty" if empty else "threads.batches.executed"
-                ).add(1)
-            _process_batch(state, cfg, idx, a, b, wid=wid, tel=tel)
-    except BaseException as exc:  # propagate to peers and the caller
-        with state.monitor:
-            if state.failure is None:
-                state.failure = exc
-            state.done = True
-            state.monitor.notify_all()
 
 
 def rcm_threads(
@@ -364,55 +49,98 @@ def rcm_threads(
 ) -> np.ndarray:
     """Batch RCM on real OS threads; returns the RCM permutation.
 
-    Raises if any worker failed; the result always equals
-    :func:`repro.core.serial.rcm_serial` for the same start node.
+    Raises ``RuntimeError`` if any worker failed and ``TimeoutError`` if one
+    hangs; the result always equals :func:`repro.core.serial.rcm_serial` for
+    the same start node.
     """
-    if total is None:
-        total = int((bfs_levels(mat, start) >= 0).sum())
     cfg = config or BatchConfig(multibatch=1)
-    state = _SharedState(mat, start, total)
+    n_workers = max(n_threads, 1)
+    state = make_state(mat, start, n_workers=n_workers, total=total)
+    stats = state.stats
+    # the engine's clock and worker count only feed the phase log and the
+    # cycle costs, which this driver discards
+    engine = SimpleNamespace(now=0.0, active=n_workers)
+    model = CPUCostModel()
+    cond = threading.Condition()
+    failure: List[BaseException] = []
     tel = telemetry.get()
-    disc_before = dropped_before = 0
-    if tel.enabled:
-        tel.gauge("threads.n_workers").set(max(n_threads, 1))
-        tel.counter("threads.batches.generated").add(1)  # bootstrap slot
-        disc_before = tel.counter("threads.speculation.discovered").value
-        dropped_before = tel.counter("threads.speculation.dropped").value
-    run_span = tel.span(
-        "rcm_threads", category="threads", n=mat.n, total=total,
-        n_threads=max(n_threads, 1),
-    )
+    tracer = tel.tracer if tel.enabled else None
+
+    def counts() -> tuple:
+        return (stats.nodes_discovered_speculatively,
+                stats.nodes_dropped_by_rediscovery)
+
+    def step_done(stage: Stage, t0: int, before: tuple, wid: int) -> None:
+        """Record one step's span, and the discovery or rediscovery pass
+        it ran as one histogram observation."""
+        tracer.record(stage.value, t0, time.perf_counter_ns(),
+                      category="threads", worker=wid)
+        found, dropped = (a - b for a, b in zip(counts(), before))
+        if found:
+            tel.histogram("threads.batch.discovered").observe(found)
+        if stage is Stage.REDISCOVER:
+            tel.histogram("threads.batch.dropped").observe(dropped)
+
+    def work(wid: int) -> None:
+        gen = worker_loop(state, cfg, model, engine)
+        try:
+            with cond:
+                t0, before = time.perf_counter_ns(), counts()
+                for ev in gen:
+                    if ev[0] == "wait":
+                        pred = ev[1]
+                        if pred():
+                            continue
+                        blocked = time.perf_counter_ns()
+                        cond.wait_for(lambda: failure or pred())
+                        if failure:
+                            return
+                        if tracer is not None:
+                            tracer.record("Stall", blocked,
+                                          time.perf_counter_ns(),
+                                          category="threads", worker=wid)
+                    else:
+                        if tracer is not None:
+                            step_done(ev[1], t0, before, wid)
+                        # let the OS, not this thread, pick the next step
+                        cond.notify_all()
+                        cond.release()
+                        os.sched_yield()
+                        cond.acquire()
+                    t0, before = time.perf_counter_ns(), counts()
+                cond.notify_all()
+        except BaseException as exc:  # propagate to peers and the caller
+            with cond:
+                failure.append(exc)
+                cond.notify_all()
+
     threads = [
-        threading.Thread(target=_worker, args=(state, cfg, wid), daemon=True)
-        for wid in range(max(n_threads, 1))
+        threading.Thread(target=work, args=(wid,), daemon=True)
+        for wid in range(n_workers)
     ]
-    run_span.__enter__()
-    for t in threads:
-        t.start()
-    try:
+    with tel.span("rcm_threads", category="threads", n=mat.n,
+                  total=state.total, n_threads=n_workers):
+        for t in threads:
+            t.start()
         for t in threads:
             t.join(timeout=120.0)
             if t.is_alive():
-                with state.monitor:
-                    state.failure = state.failure or TimeoutError("worker hung")
-                    state.done = True
-                    state.monitor.notify_all()
+                with cond:
+                    failure.append(TimeoutError("worker hung"))
+                    cond.notify_all()
                 raise TimeoutError("threaded RCM worker did not finish")
-    finally:
-        run_span.__exit__(None, None, None)
-        if tel.enabled:
-            # speculation efficiency of *this* run: the kept fraction of
-            # everything speculatively discovered (1.0 = no wasted work)
-            disc = tel.counter("threads.speculation.discovered").value
-            drop = tel.counter("threads.speculation.dropped").value
-            run_disc = disc - disc_before
-            run_drop = drop - dropped_before
-            if run_disc > 0:
-                tel.gauge("threads.speculation.efficiency").set(
-                    (run_disc - run_drop) / run_disc
-                )
-    if state.failure is not None:
-        raise RuntimeError("threaded RCM failed") from state.failure
-    if state.written != state.total:
-        raise RuntimeError(f"incomplete: {state.written}/{state.total}")
-    return state.out[::-1].copy()
+    if failure:
+        raise RuntimeError("threaded RCM failed") from failure[0]
+    state.sync_queue_stats()
+    if tel.enabled:
+        tel.gauge("threads.n_workers").set(n_workers)
+        run = stats.to_dict()
+        for group in ("batches", "speculation", "overhangs"):
+            for key, value in run[group].items():
+                tel.counter(f"threads.{group}.{key}").add(value)
+        disc = stats.nodes_discovered_speculatively
+        if disc > 0:  # the kept fraction of all speculative discovery
+            tel.gauge("threads.speculation.efficiency").set(
+                (disc - stats.nodes_dropped_by_rediscovery) / disc
+            )
+    return state.permutation()

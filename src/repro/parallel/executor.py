@@ -64,8 +64,9 @@ __all__ = [
 #: milliseconds, which a small matrix never wins back
 MIN_PARALLEL_NODES = 2048
 
-#: environmental failures of a dispatch; the caller falls back in-process
-_POOL_ERRORS = (BrokenProcessPool, OSError, RuntimeError)
+#: environmental failures of a dispatch; the caller falls back in-process.
+#: An exception a task raises is the caller's, never a pool failure.
+_POOL_ERRORS = (BrokenProcessPool, OSError)
 
 
 @dataclass(frozen=True)
@@ -133,6 +134,14 @@ def _get_pool(workers: int) -> ProcessPoolExecutor:
             fut.result()
         _POOLS[workers] = pool
         return pool
+
+
+def _submit(pool: ProcessPoolExecutor, fn: Callable, *args):
+    """``pool.submit``; a pool another thread shut down counts as broken."""
+    try:
+        return pool.submit(fn, *args)
+    except RuntimeError as exc:  # "cannot schedule new futures after shutdown"
+        raise BrokenProcessPool(str(exc)) from exc
 
 
 def _discard_pool(workers: int) -> None:
@@ -350,8 +359,8 @@ def _components_shm(mat, starts, sizes, workers):
             n_tasks=len(starts), workers=workers,
         ) as sp:
             futures = {
-                int(i): pool.submit(
-                    _component_task, csr, arena.handle, int(starts[i]),
+                int(i): _submit(
+                    pool, _component_task, csr, arena.handle, int(starts[i]),
                     int(offsets[i]), int(sizes[i]), trace,
                 )
                 for i in order
@@ -447,7 +456,7 @@ def _map_shm(mats, positions, kwargs, chunk, workers):
             n_matrices=len(mats), n_chunks=len(chunks), workers=workers,
         ) as sp:
             futures = [
-                pool.submit(_chunk_task, c, arena.handle, kwargs, trace)
+                _submit(pool, _chunk_task, c, arena.handle, kwargs, trace)
                 for c in chunks
             ]
             results: list = []

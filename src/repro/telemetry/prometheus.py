@@ -146,11 +146,11 @@ METRIC_INVENTORY: Tuple[Tuple[str, str, str], ...] = (
     ("parallel.shm.published", "counter", "CSR patterns published into shared memory"),
     ("parallel.shm.bytes", "counter", "bytes written through the shared-memory transport"),
     ("parallel.shm.leaked", "counter", "segments reclaimed by the atexit sweep (should stay 0)"),
-    ("threads.batches.*", "counter", "speculative batch lifecycle (generated/dequeued/executed/empty)"),
+    ("threads.batches.*", "counter", "speculative batch lifecycle (generated/dequeued/executed/empty/discarded_by_early_termination)"),
     ("threads.speculation.*", "counter", "speculation economy (discovered/dropped/rediscovery_passes/sorted_elements)"),
     ("threads.overhangs.*", "counter", "overhang forwarding (forwarded/nodes)"),
     ("threads.n_workers", "gauge", "worker threads serving the run"),
-    ("threads.batch.discovered", "histogram", "speculatively discovered nodes per batch"),
+    ("threads.batch.discovered", "histogram", "nodes one batch's discovery step claimed (a step claiming none is not observed)"),
     ("threads.batch.dropped", "histogram", "nodes dropped per rediscovery pass"),
     ("threads.speculation.efficiency", "gauge", "kept fraction of speculatively discovered nodes (last run)"),
     ("vectorized.levels", "counter", "BFS levels swept by the vectorized kernel"),

@@ -195,24 +195,10 @@ class _ActiveSpan(_PhaseTimer):
             stack.pop()
             if not stack:
                 tr._stacks.pop(tid, None)
-        duration = end - self._start_ns
-        self._add(duration)
-        ctx = getattr(_CONTEXT, "value", None)
-        rec = SpanRecord(
-            span_id=self._span_id,
-            parent_id=self._parent_id,
-            name=self._name,
-            category=self._category,
-            start_ns=self._start_ns - tr.epoch_ns,
-            duration_ns=duration,
-            thread_id=tid,
-            worker=self._worker,
-            attrs=self._attrs,
-            trace_id=ctx.trace_id if ctx is not None else None,
-            pid=os.getpid(),
-        )
-        with tr._lock:
-            tr._records.append(rec)
+        self._add(end - self._start_ns)
+        tr.record(self._name, self._start_ns, end, category=self._category,
+                  worker=self._worker, attrs=self._attrs,
+                  span_id=self._span_id, parent_id=self._parent_id)
         return False
 
 
@@ -251,6 +237,31 @@ class Tracer:
         if not self.enabled:
             return NULL_SPAN if into is None else _PhaseTimer(name, into)
         return _ActiveSpan(self, name, category, worker, attrs, into)
+
+    def record(self, name: str, start_ns: int, end_ns: int, *,
+               category: str = "phase", worker: Optional[int] = None,
+               attrs: Optional[Dict[str, Any]] = None,
+               span_id: Optional[int] = None,
+               parent_id: Optional[int] = None) -> None:
+        """Record a finished span from two ``perf_counter_ns`` reads; every
+        span ends here.  Called directly, it records parentless work named
+        only when it ends (an OS-thread step, named by its last event)."""
+        ctx = getattr(_CONTEXT, "value", None)
+        rec = SpanRecord(
+            span_id=next(self._ids) if span_id is None else span_id,
+            parent_id=parent_id,
+            name=name,
+            category=category,
+            start_ns=start_ns - self.epoch_ns,
+            duration_ns=end_ns - start_ns,
+            thread_id=threading.get_ident(),
+            worker=worker,
+            attrs={} if attrs is None else attrs,
+            trace_id=ctx.trace_id if ctx is not None else None,
+            pid=os.getpid(),
+        )
+        with self._lock:
+            self._records.append(rec)
 
     def records(self) -> List[SpanRecord]:
         """Snapshot of all finished spans (copy; safe to iterate)."""

@@ -127,11 +127,12 @@ class TestEngineDefensive:
 class TestThreadsDefensive:
     def test_worker_exception_propagates(self, monkeypatch, small_grid):
         """A crash inside one thread must surface to the caller, not hang."""
-        from repro.core import threads as th
+        from repro.core import batch
+        from repro.core.threads import rcm_threads
 
         def boom(*a, **k):
             raise RuntimeError("injected fault")
 
-        monkeypatch.setattr(th, "plan_ranges", boom)
+        monkeypatch.setattr(batch, "plan_ranges", boom)
         with pytest.raises(RuntimeError):
-            th.rcm_threads(small_grid, 0, n_threads=2)
+            rcm_threads(small_grid, 0, n_threads=2)

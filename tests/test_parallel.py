@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 import os
 
 import numpy as np
 import pytest
 
-from repro import telemetry
+from repro import backends, telemetry
 from repro.core.api import _reorder_rcm
 from repro.core.serial import rcm_serial
 from repro.matrices import generators as g
@@ -199,6 +200,37 @@ class TestPoolError:
         monkeypatch.undo()
         self._map(mats)
         self._assert_fresh_pool(tel)
+
+    def test_task_error_reaches_caller_once(self, tel):
+        """A backend's own exception inside a worker is not a pool
+        failure: it reaches the caller once, unchanged, and the pool
+        stays."""
+        real = backends.get("vectorized")
+        calls = []
+
+        def broken(mat, start, **kwargs):
+            calls.append(os.getpid())
+            raise RuntimeError("vectorized kernel bug")
+
+        mats = [g.grid2d(14 + i, 14) for i in range(6)]
+        # registered before the pool forks, so its workers run the clone
+        backends.register(
+            dataclasses.replace(real, run_component=broken), replace=True
+        )
+        try:
+            with pytest.raises(RuntimeError, match="^vectorized kernel bug$"):
+                map_matrices(mats, method="vectorized", config=self.CFG)
+        finally:
+            backends.register(real, replace=True)
+        assert calls == []  # never rerun in this process
+        assert "parallel.fallbacks" not in tel.snapshot()["counters"]
+        pool = executor._POOLS[self.CFG.n_workers]
+        results = map_matrices(mats, method="serial", config=self.CFG)
+        for res, mat in zip(results, mats):
+            ref = _reorder_rcm(mat, method="serial")
+            assert res.permutation.tobytes() == ref.permutation.tobytes()
+        assert executor._POOLS == {self.CFG.n_workers: pool}
+        assert shm.active_segments() == ()
 
     def test_shm_publish_failure(self, tel, monkeypatch, four_grids):
         real = shm.ShmBatch.publish_csr

@@ -504,6 +504,50 @@ class TestInstrumentedThreads:
             "Stall",
         }
 
+    @pytest.mark.parametrize("multibatch", [1, 3])
+    @pytest.mark.parametrize("early_signaling", [True, False])
+    def test_one_worker_counters_equal_the_simulator(
+        self, multibatch, early_signaling
+    ):
+        """One worker leaves the schedule no freedom, so the OS-thread run
+        counts exactly what the simulator counts."""
+        from repro.core.batch import run_batch_rcm
+        from repro.core.batches import BatchConfig
+        from repro.core.threads import rcm_threads
+        from repro.machine.costmodel import CPUCostModel
+        from repro.matrices import generators as g
+
+        mat = g.grid2d(40, 40)
+        cfg = BatchConfig(batch_size=4, multibatch=multibatch,
+                          early_signaling=early_signaling)
+        sim = run_batch_rcm(
+            mat, 0, model=CPUCostModel(), n_workers=1, config=cfg
+        ).stats.to_dict()
+        telemetry.enable()
+        rcm_threads(mat, 0, n_threads=1, config=cfg)
+        counters = telemetry.get().snapshot()["counters"]
+        for group in ("speculation", "batches", "overhangs"):
+            for key, value in sim[group].items():
+                assert counters[f"threads.{group}.{key}"] == value, key
+
+    def test_workers_interleave(self):
+        """The OS scheduler, not whichever thread started first, orders
+        the steps: most four-thread runs discover on two or more lanes."""
+        from repro.core.threads import rcm_threads
+        from repro.matrices import get_matrix
+
+        mat = get_matrix("benzene")
+        tel = telemetry.get()
+        tel.enable()
+        shared = 0
+        for _ in range(10):
+            tel.reset()
+            rcm_threads(mat, 0, n_threads=4)
+            lanes = {r.worker for r in tel.tracer.records()
+                     if r.name == "Discover"}
+            shared += len(lanes) >= 2
+        assert shared >= 8
+
     def test_threads_silent_when_disabled(self, medium_grid):
         from repro.core.threads import rcm_threads
 

@@ -4,6 +4,8 @@ True OS-thread nondeterminism must never change the permutation — the
 protocol's correctness cannot depend on the scheduler.
 """
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,18 @@ class TestEquivalence:
         ref = rcm_serial(two_triangles, 3)
         got = rcm_threads(two_triangles, 3, n_threads=2)
         assert np.array_equal(got, ref)
+
+    def test_gil_switches_inside_steps(self, medium_grid):
+        """The lock, not the GIL's switch interval, keeps each step whole:
+        forcing thread switches mid-step must not change the result."""
+        cfg = BatchConfig(batch_size=4, multibatch=3)
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = rcm_threads(medium_grid, 0, n_threads=8, config=cfg)
+        finally:
+            sys.setswitchinterval(old)
+        assert np.array_equal(got, rcm_serial(medium_grid, 0))
 
     def test_single_node(self):
         from repro.sparse.csr import CSRMatrix

@@ -1,15 +1,12 @@
-"""Schedule-sweep stress suite for the OS-thread backend (nightly).
+"""Schedule-sweep stress suite for the OS-thread backend.
 
 ``rcm_threads`` must return the exact serial permutation for *every*
 interleaving the OS scheduler produces.  One run per configuration cannot
 probe that, so this suite sweeps worker counts x seeds x batch
 configurations — including overhang-heavy shapes (tiny batches, deep
 multibatch, hub-skewed degree distributions) that maximize speculative
-mis-sorting and signal-chain contention.
-
-Marked ``slow``: excluded from the default run (``-m 'not slow'`` in
-``pyproject.toml``) and executed by the nightly CI job
-(``.github/workflows/nightly.yml``).
+mis-sorting and signal-chain contention.  It takes a few seconds and runs
+with every ``pytest tests/``.
 """
 
 from __future__ import annotations
@@ -22,8 +19,6 @@ from repro.core.serial import rcm_serial
 from repro.core.threads import rcm_threads
 from repro.matrices import generators as g
 from repro.sparse.csr import coo_to_csr
-
-pytestmark = pytest.mark.slow
 
 
 def _random_symmetric(n, density, seed):
