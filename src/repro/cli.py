@@ -201,10 +201,11 @@ def cmd_profile(args) -> int:
     from repro import reorder, telemetry
     from repro.telemetry import profiler as profmod
 
+    mat = _get_input(args)
+    # the tracer epoch starts with the call, not with loading its input
     tel = telemetry.get()
     tel.reset()
     telemetry.enable()
-    mat = _get_input(args)
     start = "peripheral" if args.peripheral else "min-valence"
     prof = profmod.start_profiler(hz=args.hz)
     try:

@@ -29,9 +29,9 @@ import numpy as np
 
 from repro import backends
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.graph import connected_components
+from repro.sparse.graph import connected_components, symmetric_components
 from repro.sparse.bandwidth import bandwidth_after
-from repro.sparse.validate import check_batch
+from repro.sparse.validate import View, check_pattern, int32_view
 from repro.core.batches import BatchConfig
 from repro.core.peripheral import find_pseudo_peripheral
 from repro.core.transform import check_transform, plan_powerlaw, resolve_transform
@@ -128,22 +128,23 @@ class ReorderResult:
 def _validate(
     mat: CSRMatrix, *, symmetrize: bool, position: Optional[int],
     phase_ns: Dict[str, int],
-) -> Tuple[CSRMatrix, int]:
+) -> Tuple[CSRMatrix, int, Optional[View]]:
     """The validate phase of one call, timed into ``phase_ns``.
 
     Symmetrizes when asked, then runs
-    :func:`~repro.sparse.validate.check_batch`, which raises
+    :func:`~repro.sparse.validate.check_pattern`, which raises
     :class:`ValidationError` for a malformed pattern, prefixed with
     ``matrix <position>:`` when the matrix belongs to a caller's batch.
-    Returns the matrix to reorder and its initial bandwidth.
+    Returns the matrix to reorder, its initial bandwidth and its int32
+    view (``None`` when the view would overflow int32).
     """
     with telemetry.get().span(
         "validate", category="api", into=phase_ns, nnz=mat.nnz
     ):
         if symmetrize:
             mat = mat.symmetrize()
-        bws = check_batch([mat], None if position is None else [position])
-        return mat, int(bws[0])
+        bw, view = check_pattern(mat, position)
+        return mat, bw, view
 
 
 def _pick_starts(
@@ -209,7 +210,7 @@ def _reorder_rcm(
     tel = telemetry.get()
     phase_ns: Dict[str, int] = {p: 0 for p in PHASES}
 
-    mat, init_bw = _validate(
+    mat, init_bw, view = _validate(
         mat, symmetrize=symmetrize, position=_position, phase_ns=phase_ns
     )
 
@@ -233,7 +234,13 @@ def _reorder_rcm(
         )
 
     with tel.span("components", category="api", into=phase_ns) as sp:
-        n_comps, labels = connected_components(work)
+        # validate proved the pattern symmetric, and so is its relabeling
+        if plan is not None:
+            view = int32_view(work)
+        n_comps, labels = (
+            connected_components(work) if view is None
+            else symmetric_components(*view)
+        )
         sizes = np.bincount(labels, minlength=n_comps).tolist()
         sp.set(n_components=n_comps)
     if isinstance(start, (int, np.integer)) and n_comps != 1:

@@ -409,7 +409,7 @@ def _reorder_direct(
     tel = telemetry.get()
     phase_ns = {p: 0 for p in PHASES}
 
-    mat, init_bw = _validate(
+    mat, init_bw, _ = _validate(
         mat, symmetrize=symmetrize, position=_position, phase_ns=phase_ns
     )
     with tel.span(

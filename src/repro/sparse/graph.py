@@ -8,6 +8,7 @@ predictor of available parallelism — which :func:`front_statistics` computes.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -20,6 +21,7 @@ __all__ = [
     "bfs_order",
     "level_structure",
     "connected_components",
+    "symmetric_components",
     "component_of",
     "front_statistics",
     "FrontStats",
@@ -110,21 +112,83 @@ def connected_components(mat: CSRMatrix) -> Tuple[int, np.ndarray]:
     (``scipy.sparse.csgraph.connected_components``); ``scipy.sparse`` is
     imported on the first call, so ``import repro`` does not load it.
     """
+    if mat.n == 0:
+        return 0, np.zeros(0, dtype=np.int64)
+    return _ranked(*_public_labels(mat.indptr, mat.indices))
+
+
+def symmetric_components(
+    indptr: np.ndarray, indices: np.ndarray
+) -> Tuple[int, np.ndarray]:
+    """:func:`connected_components` of a symmetric pattern, from its int32
+    ``(indptr, indices)``.
+
+    The pattern is its own transpose, so SciPy's private undirected
+    labeling takes the arrays twice, where the public call builds the
+    transpose and a float64 copy first.  The private name is not
+    documented: it is imported on first use and checked once per process
+    against the public call (:func:`_private_agrees`), which labels
+    instead when the check fails.
+    """
+    n = indptr.size - 1
+    if n == 0:
+        return 0, np.zeros(0, dtype=np.int64)
+    label = _private_labels if _private_agrees() else _public_labels
+    return _ranked(*label(indptr, indices))
+
+
+def _public_labels(indptr: np.ndarray, indices: np.ndarray):
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import connected_components as label
 
-    n = mat.n
-    if n == 0:
-        return 0, np.zeros(0, dtype=np.int64)
+    n = indptr.size - 1
     graph = csr_matrix(
-        (np.ones(mat.nnz), mat.indices, mat.indptr), shape=(n, n)
+        (np.ones(indices.size), indices, indptr), shape=(n, n)
     )
-    count, found = label(graph, directed=False)
+    return label(graph, directed=False)
+
+
+def _private_labels(indptr: np.ndarray, indices: np.ndarray):
+    from scipy.sparse.csgraph._traversal import (
+        _connected_components_undirected as label,
+    )
+
+    found = np.empty(indptr.size - 1, dtype=np.int32)
+    return label(indices, indptr, indices, indptr, found), found
+
+
+def _ranked(count: int, found: np.ndarray) -> Tuple[int, np.ndarray]:
+    """Component labels renumbered by each component's smallest node."""
+    n = found.size
     smallest = np.full(count, n, dtype=np.int64)
     np.minimum.at(smallest, found, np.arange(n, dtype=np.int64))
     rank = np.empty(count, dtype=np.int64)
     rank[np.argsort(smallest)] = np.arange(count, dtype=np.int64)
     return int(count), rank[found]
+
+
+def _fixture():
+    """int32 ``(indptr, indices)`` of a symmetric pattern whose components
+    {0, 3, 5} and {1, 4, 6} interleave around the isolated node 2; node 3
+    holds a diagonal entry."""
+    rows = [[5], [4, 6], [], [3, 5], [1, 6], [0, 3], [1, 4]]
+    indptr = np.cumsum([0] + [len(r) for r in rows]).astype(np.int32)
+    indices = np.array([c for r in rows for c in r], dtype=np.int32)
+    return indptr, indices
+
+
+@functools.lru_cache(maxsize=None)
+def _private_agrees() -> bool:
+    """Whether SciPy's private undirected labeling imports and ranks the
+    fixture's components as the public call does — checked once per
+    process."""
+    indptr, indices = _fixture()
+    try:
+        private = _ranked(*_private_labels(indptr, indices))
+    except (ImportError, TypeError, ValueError):  # renamed or re-typed
+        return False
+    public = _ranked(*_public_labels(indptr, indices))
+    return private[0] == public[0] and np.array_equal(private[1], public[1])
 
 
 def component_of(mat: CSRMatrix, node: int) -> np.ndarray:

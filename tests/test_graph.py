@@ -1,8 +1,12 @@
 """Unit tests for the graph-view helpers (BFS, components, fronts)."""
 
+import sys
+
 import numpy as np
 import pytest
 
+import repro
+from repro.sparse import graph
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.graph import (
     bfs_levels,
@@ -14,6 +18,8 @@ from repro.sparse.graph import (
     eccentricity_lower_bound,
 )
 from repro.matrices import generators as g
+
+from tests.test_equivalence_matrix import MATRICES, matrix
 
 
 class TestBfsLevels:
@@ -93,6 +99,75 @@ class TestComponents:
 
     def test_component_of(self, two_triangles):
         assert list(component_of(two_triangles, 4)) == [3, 4, 5]
+
+
+def _outcomes():
+    """Permutation bytes, starts and sizes of every equivalence-battery
+    matrix through the pipeline, untransformed and power-law."""
+    out = {}
+    for name in MATRICES:
+        for transform in (None, "powerlaw"):
+            res = repro.reorder(matrix(name), transform=transform)
+            out[name, transform] = (
+                res.permutation.tobytes(), res.start_nodes,
+                res.component_sizes,
+            )
+    return out
+
+
+def _no_private(*args, **kwargs):
+    raise AssertionError("the private labeling must not run")
+
+
+class TestLabelingGuard:
+    """The pipeline labels validate's int32 view with SciPy's private
+    undirected labeling, checked once per process.  The check reads the
+    installed SciPy, so it runs on every CI leg."""
+
+    def test_installed_scipy_agrees(self):
+        assert graph._private_agrees()
+
+    def test_fixture_ranks_interleaved_components(self):
+        count, labels = graph.symmetric_components(*graph._fixture())
+        assert count == 3
+        assert labels.tolist() == [0, 1, 2, 0, 1, 0, 1]
+
+    def test_pipeline_takes_the_private_labeling(self, monkeypatch):
+        calls = []
+        real = graph._private_labels
+        monkeypatch.setattr(
+            graph, "_private_labels",
+            lambda *view: calls.append(1) or real(*view),
+        )
+        repro.reorder(matrix("two-triangles"))
+        assert calls == [1]
+
+
+class TestLabelingFallback:
+    """With the check failed, the public call labels the view, and the
+    equivalence battery's matrices come out byte-identical."""
+
+    @pytest.fixture(scope="class")
+    def guarded(self):
+        assert graph._private_agrees()
+        return _outcomes()
+
+    def test_failed_fixture_check(self, guarded, monkeypatch):
+        monkeypatch.setattr(graph, "_private_agrees", lambda: False)
+        monkeypatch.setattr(graph, "_private_labels", _no_private)
+        assert _outcomes() == guarded
+
+    def test_private_name_missing(self, guarded, monkeypatch):
+        graph._private_agrees.cache_clear()
+        try:
+            with monkeypatch.context() as mp:
+                mp.setitem(
+                    sys.modules, "scipy.sparse.csgraph._traversal", None
+                )
+                assert not graph._private_agrees()
+                assert _outcomes() == guarded
+        finally:
+            graph._private_agrees.cache_clear()
 
 
 class TestFrontStatistics:

@@ -7,6 +7,7 @@ the ``repro profile`` CLI.
 """
 
 import json
+import re
 import sys
 import threading
 import time
@@ -590,6 +591,32 @@ class TestCli:
         chrome = json.loads((tmp_path / "prof.trace.json").read_text())
         phs = {e["ph"] for e in chrome["traceEvents"]}
         assert phs >= {"M", "X"}
+
+    def test_profile_epoch_starts_with_the_call(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # a slow input load must not sit between the tracer epoch and
+        # the call: the earliest span starts within the call's wall time
+        from repro import cli
+
+        load = cli._get_input
+
+        def slow_load(args):
+            time.sleep(0.5)
+            return load(args)
+
+        monkeypatch.setattr(cli, "_get_input", slow_load)
+        prefix = tmp_path / "prof"
+        code = cli.main([
+            "profile", "--matrix", "benzene", "--method", "threads",
+            "--workers", "2", "-o", str(prefix),
+        ])
+        assert code == 0
+        out = capsys.readouterr().out
+        wall_ms = float(re.search(r"share of ([\d.]+) ms wall", out).group(1))
+        spans = [e for e in read_jsonl(f"{prefix}.jsonl")
+                 if e["type"] == "span"]
+        assert min(e["start_ns"] for e in spans) / 1e6 < wall_ms
 
     def test_reorder_json_flag(self, capsys):
         from repro.cli import main as cli_main

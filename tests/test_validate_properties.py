@@ -3,8 +3,11 @@
 :func:`repro.sparse.validate.check_batch` is checked, single and batched,
 against a brute-force reference over sets of ``(row, col)`` pairs, on
 patterns with unsorted rows, duplicates, one-sided entries, self loops,
-empty rows and ``n`` in {0, 1}.  :func:`repro.sparse.graph.connected_components`
-is checked against ``networkx.connected_components`` ordered by smallest
+empty rows and ``n`` in {0, 1}: once as it runs, where the O(nnz)
+acceptance serves every valid pattern, and once through the key pass
+alone.  :func:`repro.sparse.graph.connected_components`, the pipeline's
+labeling of validate's int32 view and the power-law pass's labeling are
+checked against ``networkx.connected_components`` ordered by smallest
 member, isolated vertices included.
 """
 
@@ -14,6 +17,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
 from typing import List
 
@@ -23,16 +27,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro
+from repro.core.transform import plan_powerlaw
 from repro.errors import ValidationError
+from repro.matrices import generators as g
+from repro.sparse import validate
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.graph import connected_components
+from repro.sparse.graph import connected_components, symmetric_components
 from repro.sparse.validate import (
     ASYMMETRIC,
     DUPLICATE,
     UNSORTED,
     check_batch,
+    check_pattern,
     is_structurally_symmetric,
 )
+
+from tests.conftest import block_union
 
 COMMON = settings(max_examples=150, deadline=None)
 
@@ -107,16 +117,51 @@ def outcome(batch: List[Rows]):
         return str(exc)
 
 
+@contextmanager
+def key_pass_only():
+    """The validate pass with its O(nnz) acceptance forced off."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(validate, "_accepted_bandwidth", lambda *view: None)
+        yield
+
+
 @COMMON
 @given(patterns())
 def test_single_matches_reference(rows):
-    assert outcome([rows]) == reference([rows])
+    expected = reference([rows])
+    assert outcome([rows]) == expected
+    if not isinstance(expected, str):  # accepted on the int32 view
+        assert check_pattern(to_csr(rows))[1] is not None
+
+
+@COMMON
+@given(patterns())
+def test_single_matches_reference_on_the_key_pass(rows):
+    with key_pass_only():
+        assert outcome([rows]) == reference([rows])
 
 
 @COMMON
 @given(st.lists(patterns(max_n=5), max_size=4))
 def test_batch_matches_reference(batch):
     assert outcome(batch) == reference(batch)
+
+
+@COMMON
+@given(st.lists(patterns(max_n=5), max_size=4))
+def test_batch_matches_reference_on_the_key_pass(batch):
+    with key_pass_only():
+        assert outcome(batch) == reference(batch)
+
+
+def test_int32_limit_takes_the_key_pass(monkeypatch):
+    mat = g.delaunay_mesh(200, seed=3)
+    bw, view = check_pattern(mat)
+    assert view is not None
+    perm = repro.reorder(mat).permutation
+    monkeypatch.setattr(validate, "INT32_MAX", mat.nnz - 1)
+    assert check_pattern(mat) == (bw, None)
+    assert repro.reorder(mat).permutation.tobytes() == perm.tobytes()
 
 
 @COMMON
@@ -127,6 +172,11 @@ def test_symmetry_check_matches_multiset_reference(rows):
     assert is_structurally_symmetric(to_csr(rows)) == (entries == mirrored)
 
 
+def components(labeling):
+    count, labels = labeling
+    return [set(np.flatnonzero(labels == k)) for k in range(count)]
+
+
 @COMMON
 @given(patterns(max_n=24))
 def test_labeling_matches_networkx(rows):
@@ -134,9 +184,27 @@ def test_labeling_matches_networkx(rows):
     graph.add_nodes_from(range(len(rows)))
     graph.add_edges_from(pairs_of(rows))
     expected = sorted(nx.connected_components(graph), key=min)
-    count, labels = connected_components(to_csr(rows))
-    assert count == len(expected)
-    assert [set(np.flatnonzero(labels == k)) for k in range(count)] == expected
+    mat = to_csr(rows)
+    assert components(connected_components(mat)) == expected
+
+    # the pipeline labels validate's int32 view of the symmetrized pattern
+    sym = mat.symmetrize()
+    view = check_pattern(sym)[1]
+    assert components(symmetric_components(*view)) == expected
+
+    # the power-law pass labels its hub-first relabeling from its own
+    # cast; a 40-leaf star gives it a hub.  Components come out ranked by
+    # their smallest relabeled node
+    star = CSRMatrix.from_edges(41, [(0, leaf) for leaf in range(1, 41)])
+    union = block_union([sym, star])
+    res = repro.reorder(union, transform="powerlaw")
+    assert res.transform == "powerlaw"
+    blocks = np.split(res.permutation, np.cumsum(res.component_sizes)[:-1])
+    hub_first = np.argsort(plan_powerlaw(union).relabel)
+    assert [set(b.tolist()) for b in blocks] == sorted(
+        expected + [set(range(sym.n, union.n))],
+        key=lambda c: hub_first[list(c)].min(),
+    )
 
 
 @pytest.mark.parametrize("n", [0, 1])
