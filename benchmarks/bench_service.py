@@ -8,8 +8,8 @@ Measures, and asserts, three ratios taken back to back on one host:
 * the batched-admission rate against the per-request dispatch rate over
   the same concurrent workload of distinct patterns — batching must win
   by ``MIN_BATCH_SPEEDUP``, because each admission tick runs its group as
-  one ``reorder_many`` call (one executor dispatch over the shared-memory
-  transport) instead of one ``reorder`` call per request;
+  one worker-thread task and one ``reorder_many`` call instead of one
+  task and one ``reorder`` call per request;
 * the warm-path cost of the continuous sampling profiler at its default
   rate: profiler-off and profiler-on blocks of warm hits alternate in
   pairs, the first block of each pair flipped every pair, and the median

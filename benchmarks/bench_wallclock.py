@@ -1,15 +1,14 @@
 """Wall-clock benchmarks of the execution layer (real time, not simulated).
 
 Times ``repro.reorder`` per method on the largest generator matrix and
-runs the ``repro bench speedup|throughput`` drivers; the vectorized kernel
-must beat the serial loop.  Their CSVs hold this host's wall times, so
-they go to a temporary directory, not the tracked results.
+runs the ``repro bench speedup`` driver; the vectorized kernel must beat
+the serial loop.  Its CSV holds this host's wall times, so it goes to a
+temporary directory, not the tracked results.
 """
 
 import pytest
 
 from repro.bench import speedup as speedup_mod
-from repro.bench import throughput as throughput_mod
 from repro.facade import reorder
 from repro.matrices import get_matrix
 
@@ -38,12 +37,3 @@ def test_regenerate_speedup(benchmark, tmp_path):
     # the headline acceptance number: the NumPy frontier kernel must beat
     # the pure-Python serial loop on the largest generator matrix
     assert by_method["vectorized"]["speedup_vs_serial"] > 1.0
-
-
-def test_regenerate_throughput(benchmark, tmp_path):
-    rows = benchmark.pedantic(
-        throughput_mod.main,
-        args=(["--quick", "--csv", str(tmp_path / "throughput.csv")],),
-        rounds=1, iterations=1,
-    )
-    assert all(r["matrices_per_s"] > 0 for r in rows)

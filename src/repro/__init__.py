@@ -9,8 +9,8 @@ real-thread backend), together with the paper's baselines, test-set
 analogues and the complete experiment harness — behind one unified entry
 point, :func:`repro.reorder`, whose fast path is a level-synchronous NumPy
 kernel with optional per-component process parallelism.  Batches go
-through :func:`repro.reorder_many`: one amortized dispatch over the
-zero-copy shared-memory transport and the persistent process pool.
+through :func:`repro.reorder_many`: one cache tier in front of
+:func:`repro.reorder`'s own pipeline per matrix.
 
 Quickstart::
 
@@ -22,7 +22,7 @@ Quickstart::
     reordered = mat.permute_symmetric(result.permutation)
     print(result.initial_bandwidth, "->", result.reordered_bandwidth)
 
-    results = repro.reorder_many([mat1, mat2, mat3])   # one dispatch
+    results = repro.reorder_many([mat1, mat2, mat3])   # in input order
 
 Every intentional failure derives from :class:`repro.errors.ReproError`
 (see :mod:`repro.errors` for the hierarchy).  The pre-facade entry points

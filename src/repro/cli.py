@@ -979,8 +979,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="run an experiment driver")
     p.add_argument("experiment",
                    choices=["table1", "fig1", "fig2", "fig3", "fig4", "fig5",
-                            "fig6", "ablation", "paper", "speedup",
-                            "throughput"])
+                            "fig6", "ablation", "paper", "speedup"])
     p.add_argument("--telemetry", default=None, metavar="PATH.jsonl",
                    help="record wall-clock telemetry to a JSONL event log")
     p.add_argument("rest", nargs=argparse.REMAINDER,

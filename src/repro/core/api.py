@@ -191,7 +191,7 @@ def _reorder_rcm(
 
     ``n_workers`` is validated at the facade boundary
     (:func:`repro.facade.reorder`); this layer trusts it.  ``_position``
-    is the batch paths' private contract: the matrix's index in the
+    is the batch path's private contract: the matrix's index in the
     caller's batch, which a validation error names.
     """
     check_choice("method", method, backends.method_choices())

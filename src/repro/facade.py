@@ -28,10 +28,9 @@ options seen before is served from the cache without recomputation.
 control on top of the same path.  ``shards=`` is deprecated and ignored.
 
 Batches are first-class: :func:`reorder_many` reorders a whole list of
-matrices as **one dispatch**, shipped through the zero-copy shared-memory
-transport to the persistent process pool
-(:func:`repro.parallel.map_matrices`).  Results are byte-identical to
-calling :func:`reorder` per matrix.
+matrices behind one cache tier, running each miss through the pipeline
+:func:`reorder` runs, so results are byte-identical to calling
+:func:`reorder` per matrix.
 
 Errors: everything either entry point raises on purpose derives from
 :class:`repro.errors.ReproError` — :class:`repro.errors.ValidationError`
@@ -270,32 +269,21 @@ def reorder_many(
     cache=None,
     shards: Optional[int] = None,
 ) -> List[ReorderResult]:
-    """Reorder a batch of patterns as one amortized dispatch.
+    """Reorder a batch of patterns behind one cache tier.
 
     The batch counterpart of :func:`reorder`: same keyword surface, one
     :class:`~repro.core.api.ReorderResult` per input matrix, in order, each
     **byte-identical** to the corresponding single :func:`reorder` call.
-    What changes is the execution economics:
 
-    * the whole batch runs as **one** executor dispatch
-      (:func:`repro.parallel.map_matrices`) on the resolved backend
-      (``"auto"`` is :data:`repro.backends.AUTO_METHOD`, as for
-      :func:`reorder`): CSR payloads travel via the zero-copy
-      shared-memory transport, the persistent pool is warmed once and
-      reused;
     * with ``cache=`` given (cache object or disk-tier path, as in
       :func:`reorder`), hits are served per matrix up front
-      (``phase_ns={"cache": <ns>}``) and only the misses are dispatched;
-      every computed result is cached on the way out;
+      (``phase_ns={"cache": <ns>}``); every computed result is cached on
+      the way out;
+    * each miss runs the pipeline :func:`reorder` runs, in-process and in
+      input order, under one ``reorder_many`` span;
     * a malformed pattern fails the call with a
       :class:`~repro.errors.ValidationError` whose message starts with
       ``matrix <i>:``, its index in ``mats``.
-
-    Requests that need per-call machinery a grouped dispatch cannot carry
-    (non-RCM algorithms, an explicit simulated-machine ``config``, a
-    nonzero ``seed``, a ``transform`` pass, or ``method="parallel"``,
-    which manages its own pool) fall back to a per-matrix loop over the
-    same pipeline — results are identical either way.
     """
     check_choice("algorithm", algorithm, ALGORITHMS)
     check_min("n_workers", n_workers, 1)
@@ -313,7 +301,7 @@ def reorder_many(
         else tctx.activate(None)
     )
     with trace_scope:
-        # cache tier first: serve hits, dispatch only the misses
+        # cache tier first: serve hits, compute only the misses
         keys: List[Optional[object]] = [None] * len(mats)
         pend: List[int] = []
         if cache is not None:
@@ -331,69 +319,25 @@ def reorder_many(
             pend = list(range(len(mats)))
 
         if pend:
-            computed = _compute_many(
-                [mats[i] for i in pend], pend, algorithm=algorithm,
-                method=method, start=start, n_workers=n_workers,
-                config=config, symmetrize=symmetrize, seed=seed,
-                transform=transform,
-            )
+            # n_groups stays 1: the benchmark's batch_groups probe reads it
+            with telemetry.get().span(
+                "reorder_many", category="api", n_matrices=len(pend),
+                n_groups=1,
+            ):
+                computed = [
+                    _compute_one(
+                        mats[i], algorithm=algorithm, method=method,
+                        start=start, n_workers=n_workers, config=config,
+                        symmetrize=symmetrize, seed=seed,
+                        transform=transform, position=i,
+                    )
+                    for i in pend
+                ]
             for i, res in zip(pend, computed):
                 results[i] = res
                 if cache is not None:
                     cache.put(keys[i], res)
     return results  # type: ignore[return-value]
-
-
-def _compute_many(
-    mats: List[CSRMatrix], positions: List[int], *, algorithm: str,
-    method: str, start: Union[int, str], n_workers: int, config,
-    symmetrize: bool, seed: int, transform: Optional[str] = None,
-) -> List[ReorderResult]:
-    """Batch execution (no cache tier) — the one code path behind both
-    :func:`reorder_many` and the service's batched admission, so the two
-    surfaces cannot drift apart.
-
-    Every matrix is validated where it runs; a malformed one fails the
-    call with an error naming its ``positions`` entry (its index in the
-    caller's list).
-    """
-    from repro.parallel import ParallelConfig, map_matrices
-
-    one_by_one = (
-        algorithm != "rcm" or config is not None or seed != 0
-        or transform is not None
-    )
-    if one_by_one:
-        return [
-            _compute_one(
-                m, algorithm=algorithm, method=method, start=start,
-                n_workers=n_workers, config=config, symmetrize=symmetrize,
-                seed=seed, transform=transform, position=pos,
-            )
-            for m, pos in zip(mats, positions)
-        ]
-
-    resolved = backends.AUTO_METHOD if method == "auto" else method
-    # the whole batch runs on one backend, so n_groups is always 1; the
-    # attribute stays because the benchmark's batch_groups probe reads it
-    with telemetry.get().span(
-        "reorder_many", category="api", n_matrices=len(mats), n_groups=1,
-    ):
-        if resolved == "parallel" or len(mats) == 1:
-            # the process backend schedules components itself (and a pool
-            # inside a pool worker cannot fork) — run per matrix
-            return [
-                _reorder_rcm(
-                    m, method=resolved, start=start, n_workers=n_workers,
-                    symmetrize=symmetrize, _position=pos,
-                )
-                for m, pos in zip(mats, positions)
-            ]
-        return map_matrices(
-            mats, method=resolved, start=start, symmetrize=symmetrize,
-            config=ParallelConfig(n_workers=n_workers),
-            _positions=positions,
-        )
 
 
 def _reorder_direct(

@@ -6,28 +6,30 @@ creates and warms it, every later dispatch reuses it (counter
 ``parallel.pool.reused``), so process startup and warm-up are paid once
 per executor lifetime instead of once per call.  Matrix payloads travel
 through the zero-copy shared-memory transport (:mod:`repro.parallel.shm`):
-the parent publishes ``indptr``/``indices`` into shared segments, workers
+the parent publishes ``indptr``/``indices`` into a shared segment, workers
 attach read-only views, and permutations come back through a shared result
 arena — no CSR bytes ever cross the pipe.
 
-There is one worker task per kind of work: :func:`_component_task` (one
-connected component) and :func:`_chunk_task` (a chunk of whole matrices).
-When ``fork`` or shared memory is not available, when the pool fails, or
-when the input is too small to pay for dispatch, every entry point runs
-the same code in-process instead — the caller always gets the identical
-result.  This is the one place a pool or shm failure is absorbed: the
-service layer above retries nothing.
+There is one worker task, :func:`_component_task`, which orders one
+connected component; :func:`rcm_components` (``method="parallel"``)
+dispatches one per component.  When ``fork`` or shared memory is not
+available, when the pool fails, or when the input is too small to pay for
+dispatch, it runs the same kernel in-process instead — the caller always
+gets the identical result.  This is the one place a pool or shm failure is
+absorbed: the service layer above retries nothing.
 
-Telemetry: spans ``parallel.components`` / ``parallel.map`` wrap the
-dispatch, and counters ``parallel.tasks``, ``parallel.chunks``,
-``parallel.pool.reused`` and ``parallel.fallbacks`` record what actually
-ran where.  When telemetry is enabled every task carries a ``trace``
-tuple: the worker resets its forked-in telemetry, records spans/counters
-locally under the request's :class:`~repro.telemetry.context.TraceContext`,
-and ships a :class:`~repro.telemetry.context.WorkerReport` back with its
-result; the parent merges every report under the dispatch span with a
-stable lane per worker pid, so one request produces one coherent
-cross-process trace.
+Telemetry: span ``parallel.components`` wraps the dispatch, and counters
+``parallel.tasks``, ``parallel.pool.reused`` and ``parallel.fallbacks``
+record what actually ran where.  When telemetry is enabled every task
+carries a ``trace`` tuple: the worker resets its forked-in telemetry,
+records spans/counters locally under the request's
+:class:`~repro.telemetry.context.TraceContext`, and ships a
+:class:`~repro.telemetry.context.WorkerReport` back with its result; the
+parent merges every report under the dispatch span with a stable lane per
+worker pid, so one request produces one coherent cross-process trace.
+
+:func:`map_matrices`, the retired chunked batch path, is a deprecated
+alias of :func:`repro.reorder_many` for one release.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from __future__ import annotations
 import atexit
 import os
 import threading
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -80,7 +83,6 @@ class ParallelConfig:
     """
 
     n_workers: Optional[int] = None
-    chunk_size: Optional[int] = None
     force_processes: bool = False
 
 
@@ -112,8 +114,8 @@ def _warmup_task(token: int) -> int:
 def _get_pool(workers: int) -> ProcessPoolExecutor:
     """The shared fork pool for ``workers``, created+warmed on first use.
 
-    Reuse is the whole point: service batches and repeated facade calls
-    hit an already-warm pool (``parallel.pool.reused`` counts the hits)
+    Reuse is the whole point: repeated ``method="parallel"`` calls hit
+    an already-warm pool (``parallel.pool.reused`` counts the hits)
     instead of paying process startup per dispatch.  Warm-up spins every
     worker up once per pool lifetime, before real work is timed.
     """
@@ -168,10 +170,6 @@ atexit.register(reset_pools)
 # worker-side tasks
 # ----------------------------------------------------------------------
 
-#: sentinel standing in for a permutation that lives in the result arena;
-#: the parent swaps the real block back in before anyone sees the result
-_SHM_RESIDENT = np.zeros(0, dtype=np.int64)
-
 #: what a traced task carries: ``(TraceContext or None, parent epoch_ns,
 #: parent profiler rate or None)``
 Trace = Tuple[object, int, Optional[float]]
@@ -217,33 +215,6 @@ def _component_task(
         )
 
     return _in_worker(trace, body, start_node=start)[1]
-
-
-def _chunk_task(
-    items: Sequence[Tuple[shm.CSRHandle, int, int]],
-    arena: shm.ArenaHandle, kwargs: dict, trace: Optional[Trace] = None,
-):
-    """Run the full pipeline per matrix: ``(results, WorkerReport or
-    None)``.  Each item is ``(handle, arena offset, batch position)``.
-
-    Permutations go home via the arena, everything else (bandwidths,
-    phases, stats) via the light perm-stripped result.
-    """
-    from repro.core.api import _reorder_rcm
-
-    def body() -> list:
-        out = shm.attach_arena(arena)
-        results = []
-        for handle, offset, position in items:
-            res = _reorder_rcm(
-                shm.attach_csr(handle), _position=position, **kwargs
-            )
-            out[offset:offset + handle.n] = res.permutation
-            res.permutation = _SHM_RESIDENT
-            results.append(res)
-        return results
-
-    return _in_worker(trace, body, n_matrices=len(items))
 
 
 # ----------------------------------------------------------------------
@@ -377,7 +348,7 @@ def _components_shm(mat, starts, sizes, workers):
 
 
 # ----------------------------------------------------------------------
-# chunked multi-matrix throughput
+# the retired batch path, kept as an alias for one release
 # ----------------------------------------------------------------------
 def map_matrices(
     mats: Sequence[CSRMatrix],
@@ -386,92 +357,21 @@ def map_matrices(
     start="min-valence",
     symmetrize: bool = False,
     config: Optional[ParallelConfig] = None,
-    _positions: Optional[Sequence[int]] = None,
 ) -> list:
-    """Reorder many matrices through worker processes, chunked.
+    """Deprecated alias of :func:`repro.reorder_many`, for one release.
 
-    The batch throughput path (CLI benches and the service's batched
-    admission): each chunk of matrices runs the full
-    :func:`repro.core.api._reorder_rcm` pipeline in one worker, validate
-    phase included, so per-task IPC overhead is amortized over
-    ``chunk_size`` matrices.  A malformed matrix fails the call with a
-    :class:`~repro.errors.ValidationError` naming its ``_positions``
-    entry (default: its index in ``mats``).  Returns one
-    :class:`~repro.core.api.ReorderResult` per input matrix, in order.
-
-    The whole batch is packed into one shared segment, workers attach
-    zero-copy and write permutations into a shared arena; results come
-    home perm-stripped and are rehydrated from the arena.
+    The chunked pool path it ran is retired: a batch runs each matrix
+    through :func:`repro.reorder`'s own pipeline in-process.  Warns
+    ``DeprecationWarning`` and returns ``reorder_many(mats, method=method,
+    start=start, symmetrize=symmetrize)``; ``config`` is ignored.
     """
-    from repro.core.api import _reorder_rcm
+    from repro.facade import reorder_many
 
-    if not mats:
-        return []
-    positions = list(range(len(mats)) if _positions is None else _positions)
-    cfg = config or ParallelConfig()
-    workers = resolve_workers(cfg.n_workers)
-    kwargs = dict(method=method, start=start, symmetrize=symmetrize)
-
-    def in_process(reason: str) -> list:
-        record_fallback(reason)
-        return [
-            _reorder_rcm(m, _position=p, **kwargs)
-            for m, p in zip(mats, positions)
-        ]
-    total_nodes = sum(m.n for m in mats)
-    # effective parallelism is capped by physical cores: a 4-worker pool on
-    # a 1-core host only adds dispatch overhead to CPU-bound batch work
-    effective = min(workers, os.cpu_count() or workers)
-    if not cfg.force_processes and (
-        len(mats) == 1 or effective == 1 or total_nodes < MIN_PARALLEL_NODES
-    ):
-        return in_process("small-input")
-    if not fork_available():
-        return in_process("no-fork")
-    if not shm.shm_available():
-        return in_process("no-shm")
-
-    chunk = cfg.chunk_size or max(1, -(-len(mats) // (workers * 4)))
-    try:
-        return _map_shm(mats, positions, kwargs, chunk, workers)
-    except _POOL_ERRORS:
-        _discard_pool(workers)
-        return in_process("pool-error")
-
-
-def _map_shm(mats, positions, kwargs, chunk, workers):
-    tel = telemetry.get()
-    pool = _get_pool(workers)
-    offsets = _offsets([m.n for m in mats])
-    with shm.ShmBatch() as batch:
-        handles = batch.publish_many(mats)
-        arena = batch.result_arena(int(offsets[-1]))
-        items = [
-            (h, int(offsets[i]), positions[i]) for i, h in enumerate(handles)
-        ]
-        chunks = [items[i:i + chunk] for i in range(0, len(items), chunk)]
-        trace = _trace_for(tel)
-        with tel.span(
-            "parallel.map", category="parallel",
-            n_matrices=len(mats), n_chunks=len(chunks), workers=workers,
-        ) as sp:
-            futures = [
-                _submit(pool, _chunk_task, c, arena.handle, kwargs, trace)
-                for c in chunks
-            ]
-            results: list = []
-            reports = []
-            for fut in futures:
-                chunk_results, report = fut.result()
-                results.extend(chunk_results)
-                reports.append(report)
-            _merge_traced(tel, reports, trace, sp)
-        # rehydrate: swap each arena block in for the stripped sentinel
-        for i, res in enumerate(results):
-            res.permutation = arena.block(
-                int(offsets[i]), int(offsets[i + 1] - offsets[i])
-            )
-    if tel.enabled:
-        tel.counter("parallel.matrices").add(len(mats))
-        tel.counter("parallel.chunks").add(len(chunks))
-    return results
+    warnings.warn(
+        "repro.parallel.map_matrices is deprecated: the chunked pool path "
+        "is retired; call repro.reorder_many instead",
+        DeprecationWarning, stacklevel=2,
+    )
+    return reorder_many(
+        mats, method=method, start=start, symmetrize=symmetrize
+    )

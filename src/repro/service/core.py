@@ -21,11 +21,10 @@ traffic-serving deployment needs:
   on a batch queue instead of going straight to a pool thread; an
   admission thread drains up to ``max_batch`` requests per tick (waiting
   at most ``batch_window_ms`` after the first), groups them by requested
-  execution options, and runs each group as **one** amortized dispatch
-  through :func:`repro.facade.reorder_many` (shared-memory transport,
-  persistent pool).  Cache, coalescing and
+  execution options, and runs each group as **one** worker-thread task
+  that calls :func:`repro.facade.reorder_many`.  Cache, coalescing and
   backpressure semantics are exactly those of the unbatched path — only
-  the dispatch is shared.  Per-batch telemetry: histogram
+  the worker-thread task is shared.  Per-batch telemetry: histogram
   ``service.batch.size`` and span ``service.batch``.
 
 The service keeps one :class:`~repro.service.cache.PermutationCache`.
@@ -106,20 +105,20 @@ class ServiceConfig:
     limit — cache hits and coalesced requests are always admitted);
     ``submit_timeout`` is how long :meth:`ReorderService.submit` may block
     for a free slot before rejecting; ``request_timeout`` is the default
-    deadline of blocking :meth:`ReorderService.reorder` calls (``None`` =
-    wait forever).  ``cache_capacity`` is the memory tier size of the
-    service's one cache.
+    deadline of blocking :meth:`ReorderService.reorder` calls.  Both
+    timeouts are seconds, ``>= 0``, and ``None`` waits forever.
+    ``cache_capacity`` is the memory tier size of the service's one cache.
 
     ``batch_window_ms > 0`` turns on batched admission: after the first
     queued miss the admission thread waits up to that many milliseconds
-    (or until ``max_batch`` requests are queued) and dispatches the drained
-    group as one amortized executor call.  ``0.0`` (default) keeps the
-    classic one-request-per-dispatch behavior exactly.
+    (or until ``max_batch`` requests are queued) and runs the drained
+    group as one :func:`repro.reorder_many` call.  ``0.0`` (default) keeps
+    the classic one-request-per-dispatch behavior exactly.
     """
 
     n_workers: int = 2
     max_pending: int = 64
-    submit_timeout: float = 0.0
+    submit_timeout: Optional[float] = 0.0
     request_timeout: Optional[float] = None
     cache_capacity: int = 128
     disk_dir: Optional[Union[str, Path]] = None
@@ -135,6 +134,10 @@ class ServiceConfig:
             raise ValueError("batch_window_ms must be >= 0")
         if self.max_batch < 1:
             raise ValueError("max_batch must be >= 1")
+        for name in ("submit_timeout", "request_timeout"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ValueError(f"{name} must be >= 0 or None")
 
 
 def _call_reorder(mat: CSRMatrix, kwargs: dict) -> ReorderResult:
@@ -147,12 +150,11 @@ def _call_reorder(mat: CSRMatrix, kwargs: dict) -> ReorderResult:
 def _call_reorder_many(
     mats: Sequence[CSRMatrix], kwargs: dict
 ) -> List[ReorderResult]:
-    """Batch seam: one grouped dispatch through the facade batch API.
+    """Batch seam: one admission group through the facade batch API.
 
-    Routing through :func:`repro.facade.reorder_many` (not a loop over
-    :func:`_call_reorder`) is what makes batched admission amortize — and
-    what keeps batched results byte-identical to the facade, because both
-    run the same ``_compute_many`` path.
+    :func:`repro.facade.reorder_many` runs every matrix through the
+    pipeline :func:`repro.reorder` runs, so batched results are
+    byte-identical to the facade's.
     """
     from repro.facade import reorder_many
 
@@ -212,7 +214,7 @@ class ReorderService:
         self._pending = 0
         self._closed = False
         # batched admission: queued misses drain through one admission
-        # thread that groups them into amortized dispatches
+        # thread that groups them into reorder_many calls
         self._batch_queue: "queue.SimpleQueue" = queue.SimpleQueue()
         self._admission_thread: Optional[threading.Thread] = None
         if cfg.batch_window_ms > 0:
@@ -277,9 +279,9 @@ class ReorderService:
         if existing is not None:
             self._count("coalesced")
             return existing
+        wait_s = self.config.submit_timeout
         if not self._slots.acquire(
-            blocking=self.config.submit_timeout > 0,
-            timeout=self.config.submit_timeout or None,
+            blocking=wait_s is None or wait_s > 0, timeout=wait_s or None,
         ):
             self._count("rejected")
             raise ServiceOverloadedError(
@@ -296,7 +298,9 @@ class ReorderService:
             # this request's one hit or miss
             existing = self._inflight.get(key.digest)
             hit = self.cache._peek(key) if existing is None else None
-            if existing is None and hit is None:
+            # close() sets _closed under this lock, so a request queued
+            # here is ahead of close()'s sentinel and its pool shutdown
+            if existing is None and hit is None and not self._closed:
                 # request identity for cross-thread/process tracing:
                 # created at admission so the pool thread, the parallel
                 # workers and any facade re-entry stamp the same trace_id
@@ -320,6 +324,8 @@ class ReorderService:
             if existing is not None:
                 self._count("coalesced")
                 return existing
+            if hit is None:
+                raise ServiceError("service is closed")
             return _resolved(hit)
         fut.add_done_callback(lambda _f, d=key.digest: self._settle(d))
         return fut
@@ -397,58 +403,40 @@ class ReorderService:
         loop keeps draining until ``batch_window_ms`` elapses or
         ``max_batch`` requests are in hand, groups the drained requests by
         their execution options, and hands every group to the worker pool
-        as one :meth:`_run_group` dispatch.
+        as one :meth:`_run_group` task.  :meth:`close`'s ``None`` sentinel
+        is the last item ever queued: the loop dispatches what it holds,
+        then shuts the worker pool down, so every accepted request reaches
+        the pool before the pool stops taking work.
         """
         window_s = self.config.batch_window_ms / 1000.0
-        while True:
-            try:
-                item = self._batch_queue.get(timeout=0.1)
-            except queue.Empty:
-                if self._closed:
-                    return
-                continue
+        closing = False
+        while not closing:
+            item = self._batch_queue.get()
             if item is None:  # close() sentinel
-                self._drain_remaining()
-                return
+                break
             batch = [item]
             deadline = time.monotonic() + window_s
-            stop = False
             while len(batch) < self.config.max_batch:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     break
                 try:
-                    extra = self._batch_queue.get(timeout=remaining)
+                    item = self._batch_queue.get(timeout=remaining)
                 except queue.Empty:
                     break
-                if extra is None:
-                    stop = True
+                if item is None:
+                    closing = True
                     break
-                batch.append(extra)
+                batch.append(item)
             self._dispatch_groups(batch)
-            if stop:
-                self._drain_remaining()
-                return
-
-    def _drain_remaining(self) -> None:
-        """Flush requests still queued at shutdown so no future hangs."""
-        leftovers = []
-        while True:
-            try:
-                item = self._batch_queue.get_nowait()
-            except queue.Empty:
-                break
-            if item is not None:
-                leftovers.append(item)
-        if leftovers:
-            self._dispatch_groups(leftovers)
+        self._pool.shutdown(wait=False)
 
     def _dispatch_groups(self, batch: list) -> None:
-        """Group a drained tick by execution options; one dispatch each.
+        """Group a drained tick by execution options; one pool task each.
 
-        The group key is every option that changes what the executor runs
-        (algorithm, method, start, symmetrize, n_workers) — matrices under
-        the same key share one :func:`repro.facade.reorder_many` call.
+        The group key is every option of the request (algorithm, method,
+        start, symmetrize, n_workers) — matrices under the same key share
+        one :func:`repro.facade.reorder_many` call.
         """
         groups: Dict[tuple, list] = {}
         for item in batch:
@@ -462,7 +450,7 @@ class ReorderService:
             self._pool.submit(self._run_group, items)
 
     def _run_group(self, items: list) -> None:
-        """Execute one admission group as a single amortized dispatch.
+        """Execute one admission group as one ``reorder_many`` call.
 
         Each item's future is resolved individually (result or exception),
         and each result is cached under its own key before its future
@@ -575,15 +563,19 @@ class ReorderService:
     def close(self, *, wait: bool = True) -> None:
         """Stop accepting requests and shut the worker pool down.
 
-        Requests still queued for batched admission are dispatched before
-        the pool stops, so every accepted future resolves.
+        Every accepted future resolves, ``wait=False`` included: requests
+        still queued for batched admission reach the pool before it stops
+        taking work.  ``wait=True`` also waits for them to finish.
         """
-        self._closed = True
+        with self._lock:
+            self._closed = True
         if self._admission_thread is not None:
-            self._batch_queue.put(None)  # wake the admission loop
-            if wait:
-                self._admission_thread.join(timeout=5.0)
-            self._admission_thread = None
+            # the admission thread dispatches every request queued ahead
+            # of the sentinel, then shuts the pool down itself
+            self._batch_queue.put(None)
+            if not wait:
+                return
+            self._admission_thread.join()
         self._pool.shutdown(wait=wait)
 
     def __enter__(self) -> "ReorderService":

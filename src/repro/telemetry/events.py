@@ -6,7 +6,7 @@ version, host info, free-form context), ``span`` events (see
 snapshot.  The format round-trips losslessly through :func:`read_jsonl` and
 is what ``repro profile`` and the ``--telemetry`` flag of ``reorder``,
 ``serve`` and ``bench`` write; :func:`host_info` and :func:`git_sha` also
-stamp the ``repro bench speedup|throughput --json`` artifacts.
+stamp the ``repro bench speedup --json`` artifact.
 """
 
 from __future__ import annotations

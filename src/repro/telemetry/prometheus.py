@@ -139,8 +139,6 @@ METRIC_INVENTORY: Tuple[Tuple[str, str, str], ...] = (
     ("service.hit_latency_ms", "histogram", "wall ms to serve a warm cache hit"),
     ("service.batch.size", "histogram", "requests per batched-admission dispatch group"),
     ("parallel.tasks", "counter", "component tasks dispatched to the pool"),
-    ("parallel.matrices", "counter", "matrices processed by `map_matrices`"),
-    ("parallel.chunks", "counter", "matrix chunks shipped to the pool"),
     ("parallel.fallbacks.*", "counter", "in-process fallbacks, by reason"),
     ("parallel.pool.reused", "counter", "dispatches served by an already-warm persistent pool"),
     ("parallel.shm.published", "counter", "CSR patterns published into shared memory"),

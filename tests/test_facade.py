@@ -134,12 +134,24 @@ class TestQualityPermutation:
             quality(small_grid, "rcm", permutation=np.zeros(3, dtype=np.int64))
 
 
+def _one_way():
+    """A 4-node pattern with the edge 0 -> 3 but not 3 -> 0."""
+    from repro.sparse.csr import CSRMatrix
+
+    rows = [[1, 3], [0, 2], [1, 3], [2]]
+    return CSRMatrix(
+        indptr=np.cumsum([0] + [len(r) for r in rows]),
+        indices=np.concatenate(rows), n=4,
+    )
+
+
 class TestReorderManyPerMatrixPath:
-    """``reorder_many``'s per-matrix loop (non-RCM algorithms, ``config``,
-    a nonzero ``seed``, ``transform``) validates each matrix once, inside
-    its own pipeline run, and still names a bad matrix by its index."""
+    """``reorder_many`` runs each matrix through ``reorder``'s pipeline,
+    whatever the options: it validates each matrix once, inside its own
+    pipeline run, and still names a bad matrix by its index."""
 
     OPTIONS = {
+        "default": {},
         "transform": {"transform": "powerlaw"},
         "config": {"config": BatchConfig()},
         "seed": {"seed": 1},
@@ -171,14 +183,39 @@ class TestReorderManyPerMatrixPath:
     @pytest.mark.parametrize("name", sorted(OPTIONS))
     def test_error_names_the_matrix_index(self, name, path5):
         from repro.errors import ValidationError
-        from repro.sparse.csr import CSRMatrix
         from repro.sparse.validate import ASYMMETRIC
 
-        rows = [[1, 3], [0, 2], [1, 3], [2]]  # 0 -> 3 without 3 -> 0
-        bad = CSRMatrix(
-            indptr=np.cumsum([0] + [len(r) for r in rows]),
-            indices=np.concatenate(rows), n=4,
-        )
         with pytest.raises(ValidationError) as info:
-            repro.reorder_many([path5, bad], **self.OPTIONS[name])
+            repro.reorder_many([path5, _one_way()], **self.OPTIONS[name])
         assert str(info.value) == f"matrix 1: {ASYMMETRIC}"
+
+    def test_mixed_batch_starts_no_pool(self):
+        """48 patterns of seven families, 12 722 nodes in all, with
+        ``n_workers=2``: no pool starts and no shm segment is published;
+        each result is byte-identical to ``reorder`` and a malformed
+        member is named by its index."""
+        from repro.errors import ValidationError
+        from repro.parallel import executor, reset_pools, shm
+
+        families = (
+            lambda n, s: g.delaunay_mesh(n, seed=s),
+            lambda n, s: g.grid2d(10, n // 10),
+            lambda n, s: g.road_network(n, seed=s),
+            lambda n, s: g.rmat(8, edge_factor=6, seed=s),
+            lambda n, s: g.watts_strogatz(n, 6, 0.1, seed=s),
+            lambda n, s: g.hub_matrix(n, n_hubs=3, hub_degree_frac=0.5, seed=s),
+            lambda n, s: g.banded(n, 6, density=0.9, seed=s),
+        )
+        mats = [families[i % 7](150 + 5 * i, i) for i in range(48)]
+        reset_pools()
+        results = repro.reorder_many(mats, n_workers=2)
+        assert executor._POOLS == {}
+        assert shm.active_segments() == ()
+        for mat, res in zip(mats, results):
+            ref = reorder(mat, n_workers=2)
+            assert res.permutation.tobytes() == ref.permutation.tobytes()
+        with pytest.raises(ValidationError, match="^matrix 17: "):
+            repro.reorder_many(
+                mats[:17] + [_one_way()] + mats[17:], n_workers=2
+            )
+        assert executor._POOLS == {}

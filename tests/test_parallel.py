@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-import dataclasses
 import os
 
 import numpy as np
 import pytest
 
-from repro import backends, telemetry
+import repro
+from repro import telemetry
 from repro.core.api import _reorder_rcm
 from repro.core.serial import rcm_serial
 from repro.matrices import generators as g
@@ -89,27 +89,22 @@ class TestComponentPool:
 
 
 class TestMapMatrices:
-    def test_matches_in_process_loop(self):
+    def test_deprecated_alias_of_reorder_many(self):
+        """The retired batch path is an alias for one release: it warns,
+        returns what ``reorder_many`` returns, ignores ``config`` and
+        takes an empty batch."""
         mats = [g.grid2d(6, 6), g.delaunay_mesh(80, seed=1),
                 g.random_geometric(50, k=3, seed=2)]
-        seq = [_reorder_rcm(m, method="vectorized") for m in mats]
         cfg = ParallelConfig(n_workers=2, force_processes=True)
-        par = map_matrices(mats, method="vectorized", config=cfg)
-        assert len(par) == len(seq)
-        for a, b in zip(seq, par):
-            assert np.array_equal(a.permutation, b.permutation)
-
-    def test_empty_batch(self):
-        assert map_matrices([]) == []
-
-    def test_chunking_covers_all(self):
-        mats = [g.grid2d(4, 4) for _ in range(7)]
-        cfg = ParallelConfig(n_workers=2, chunk_size=2, force_processes=True)
-        out = map_matrices(mats, config=cfg)
-        assert len(out) == 7
-        ref = _reorder_rcm(mats[0], method="serial").permutation
-        for res in out:
-            assert np.array_equal(res.permutation, ref)
+        with pytest.warns(DeprecationWarning, match="reorder_many"):
+            got = map_matrices(mats, method="vectorized", config=cfg)
+        ref = repro.reorder_many(mats, method="vectorized")
+        assert [r.method for r in got] == ["vectorized"] * len(mats)
+        assert [r.permutation.tobytes() for r in got] == [
+            r.permutation.tobytes() for r in ref
+        ]
+        with pytest.warns(DeprecationWarning):
+            assert map_matrices([]) == []
 
 
 class TestConfig:
@@ -164,12 +159,6 @@ class TestPoolError:
         for block, start in zip(blocks, starts):
             assert block.tobytes() == rcm_serial(mat, start).tobytes()
 
-    def _map(self, mats):
-        results = map_matrices(mats, config=self.CFG)
-        for res, mat in zip(results, mats):
-            ref = _reorder_rcm(mat, method="serial")
-            assert res.permutation.tobytes() == ref.permutation.tobytes()
-
     def _assert_absorbed(self, tel):
         counters = tel.snapshot()["counters"]
         assert counters["parallel.fallbacks.pool-error"] == 1
@@ -192,43 +181,35 @@ class TestPoolError:
         self._components(*four_grids)
         self._assert_fresh_pool(tel)
 
-    def test_worker_death_in_chunk_task(self, tel, monkeypatch):
-        mats = [g.grid2d(14 + i, 14) for i in range(6)]
-        monkeypatch.setattr(executor, "_chunk_task", _die)
-        self._map(mats)
-        self._assert_absorbed(tel)
-        monkeypatch.undo()
-        self._map(mats)
-        self._assert_fresh_pool(tel)
-
-    def test_task_error_reaches_caller_once(self, tel):
-        """A backend's own exception inside a worker is not a pool
-        failure: it reaches the caller once, unchanged, and the pool
-        stays."""
-        real = backends.get("vectorized")
+    def test_task_error_reaches_caller_once(
+        self, tel, monkeypatch, four_grids
+    ):
+        """A kernel's own exception inside a worker is not a pool failure:
+        it reaches the caller once, unchanged, and the pool stays."""
+        real = executor.rcm_vectorized
+        faulty_n = four_grids[0].n
         calls = []
 
-        def broken(mat, start, **kwargs):
+        def broken(mat, start):
+            if mat.n != faulty_n:
+                return real(mat, start)
             calls.append(os.getpid())
             raise RuntimeError("vectorized kernel bug")
 
-        mats = [g.grid2d(14 + i, 14) for i in range(6)]
-        # registered before the pool forks, so its workers run the clone
-        backends.register(
-            dataclasses.replace(real, run_component=broken), replace=True
-        )
-        try:
-            with pytest.raises(RuntimeError, match="^vectorized kernel bug$"):
-                map_matrices(mats, method="vectorized", config=self.CFG)
-        finally:
-            backends.register(real, replace=True)
+        # patched before the pool forks, so its workers run the clone
+        monkeypatch.setattr(executor, "rcm_vectorized", broken)
+        with pytest.raises(RuntimeError, match="^vectorized kernel bug$"):
+            rcm_components(
+                four_grids[0], four_grids[1], sizes=four_grids[2],
+                config=self.CFG,
+            )
         assert calls == []  # never rerun in this process
         assert "parallel.fallbacks" not in tel.snapshot()["counters"]
+        assert shm.active_segments() == ()
         pool = executor._POOLS[self.CFG.n_workers]
-        results = map_matrices(mats, method="serial", config=self.CFG)
-        for res, mat in zip(results, mats):
-            ref = _reorder_rcm(mat, method="serial")
-            assert res.permutation.tobytes() == ref.permutation.tobytes()
+        mat = block_union([g.grid2d(30, 20 + i) for i in range(3)])
+        ref = _reorder_rcm(mat, method="serial")
+        self._components(mat, ref.start_nodes, ref.component_sizes)
         assert executor._POOLS == {self.CFG.n_workers: pool}
         assert shm.active_segments() == ()
 

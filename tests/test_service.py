@@ -15,6 +15,7 @@ cache-key properties in ``test_service_properties.py``.
 from __future__ import annotations
 
 import asyncio
+import concurrent.futures
 import dataclasses
 import gc
 import json
@@ -398,6 +399,26 @@ class TestTimeouts:
             with pytest.raises(ServiceTimeoutError):
                 svc.reorder(small_grid)
             gated.release()
+
+    @pytest.mark.parametrize("field", ["submit_timeout", "request_timeout"])
+    def test_negative_timeout_rejected(self, field):
+        with pytest.raises(ValueError, match=f"^{field} must be >= 0"):
+            ServiceConfig(**{field: -1.0})
+        assert getattr(ServiceConfig(**{field: 0.0}), field) == 0.0
+
+    def test_none_submit_timeout_waits_for_a_slot(self, gated, small_grid):
+        cfg = ServiceConfig(n_workers=1, max_pending=1, submit_timeout=None)
+        other = random_symmetric(40, 0.1, 5)
+        with ReorderService(cfg) as svc:
+            first = svc.submit(small_grid)  # occupies the only slot
+            gated.wait_entered()
+            threading.Timer(0.05, gated.release).start()
+            second = svc.submit(other)  # blocks until the slot frees
+            assert first.done()
+            got = second.result(timeout=10)
+            assert svc.counters["rejected"] == 0
+        ref = reorder(other)
+        assert got.permutation.tobytes() == ref.permutation.tobytes()
 
 
 class TestFallback:
@@ -823,6 +844,34 @@ class TestLifecycle:
             t.name for t in set(threading.enumerate()) - before
             if t.name.startswith("repro-service")
         ]
+        assert svc.pending == 0
+
+    def test_close_without_wait_resolves_every_future(self, monkeypatch):
+        """Requests still queued for batched admission when
+        ``close(wait=False)`` returns reach the pool before it stops: each
+        future ends byte-identical to the facade or in a ``ReproError``,
+        and the admission thread exits without an exception."""
+        mats = [delaunay_mesh(200, seed=i) for i in range(40)]
+        thread_errors = []
+        monkeypatch.setattr(threading, "excepthook", thread_errors.append)
+        svc = ReorderService(ServiceConfig(
+            batch_window_ms=50, max_batch=4, max_pending=100,
+        ))
+        futs = [svc.submit(m) for m in mats]
+        admission = svc._admission_thread
+        svc.close(wait=False)
+        _, hung = concurrent.futures.wait(futs, timeout=30)
+        assert not hung, f"{len(hung)} of {len(futs)} futures never resolved"
+        for fut, mat in zip(futs, mats):
+            try:
+                got = fut.result(timeout=0)
+            except ReproError:
+                continue
+            ref = reorder(mat).permutation.tobytes()
+            assert got.permutation.tobytes() == ref
+        admission.join(timeout=10)
+        assert not admission.is_alive()
+        assert thread_errors == []
         assert svc.pending == 0
 
     def test_request_span_recorded(self, tel, small_grid):

@@ -2,10 +2,12 @@
 guaranteed unlink on every exit path, the no-pickle guarantee, pool reuse
 and the in-process fallback where shared memory is unavailable.
 
-These tests force the process-pool path (``force_processes=True``) so they
-exercise the real transport even on single-core CI hosts.  Tests that
-re-register pickle reducers or break the pool call ``reset_pools()`` on
-both sides so no other test inherits a poisoned pool.
+The dispatch tests run :func:`repro.parallel.rcm_components` on a
+multi-component union and force the process-pool path
+(``force_processes=True``) so they exercise the real transport even on
+single-core CI hosts.  Tests that re-register pickle reducers or break the
+pool call ``reset_pools()`` on both sides so no other test inherits a
+poisoned pool.
 """
 
 from __future__ import annotations
@@ -16,16 +18,18 @@ import numpy as np
 import pytest
 
 from repro import telemetry
+from repro.core.vectorized import rcm_vectorized
 from repro.matrices import generators as g
 from repro.parallel import (
     ParallelConfig,
     fork_available,
-    map_matrices,
     rcm_components,
     reset_pools,
     shm,
 )
 from repro.core.api import _reorder_rcm
+
+from tests.conftest import block_union
 
 needs_shm = pytest.mark.skipif(
     not shm.shm_available(), reason="shared memory unavailable on platform"
@@ -44,6 +48,25 @@ def _clean_telemetry():
 
 def _workload(count: int = 6, size: int = 14) -> list:
     return [g.grid2d(size + i, size) for i in range(count)]
+
+
+def _union():
+    """The workload as one matrix: ``(union, starts, sizes)``."""
+    mat = block_union(_workload())
+    ref = _reorder_rcm(mat, method="serial")
+    return mat, ref.start_nodes, ref.component_sizes
+
+
+def _dispatch(mat, starts, sizes) -> list:
+    """One component task per start on a forced 2-worker pool."""
+    cfg = ParallelConfig(n_workers=2, force_processes=True)
+    return rcm_components(mat, starts, sizes=sizes, config=cfg)
+
+
+def _assert_blocks(blocks, mat, starts) -> None:
+    assert len(blocks) == len(starts)
+    for block, start in zip(blocks, starts):
+        assert block.tobytes() == rcm_vectorized(mat, start).tobytes()
 
 
 # ----------------------------------------------------------------------
@@ -131,9 +154,7 @@ class TestLifecycle:
 
     @needs_fork
     def test_dispatch_leaves_no_segments(self):
-        mats = _workload()
-        cfg = ParallelConfig(n_workers=2, force_processes=True)
-        map_matrices(mats, method="vectorized", config=cfg)
+        _dispatch(*_union())
         assert shm.active_segments() == ()
 
     @needs_fork
@@ -148,16 +169,13 @@ class TestLifecycle:
         with pytest.raises(Exception):
             fut.result(timeout=30)
 
-        mats = _workload()
-        cfg = ParallelConfig(n_workers=2, force_processes=True)
+        mat, starts, sizes = _union()
         try:
-            results = map_matrices(mats, method="vectorized", config=cfg)
+            blocks = _dispatch(mat, starts, sizes)
         finally:
             reset_pools()
         assert shm.active_segments() == ()
-        for mat, res in zip(mats, results):
-            ref = _reorder_rcm(mat, method="vectorized")
-            assert np.array_equal(res.permutation, ref.permutation)
+        _assert_blocks(blocks, mat, starts)
 
 
 # ----------------------------------------------------------------------
@@ -181,32 +199,19 @@ class TestNoPickle:
     def test_no_matrix_bytes_cross_the_pipe(self):
         """With the reducer below registered in parent and workers, any
         non-empty ndarray going through ForkingPickler raises — proving
-        matrices and permutations travel via shared memory only.  (The
-        empty perm-stripped sentinel is the single allowed ndarray.)"""
+        the matrix and the permutation blocks travel via shared memory
+        only."""
         from multiprocessing.reduction import ForkingPickler
 
+        mat, starts, sizes = _union()
         reset_pools()  # workers must fork *after* the reducer registers
         ForkingPickler.register(np.ndarray, _forbid_ndarray_pickle)
         try:
-            mats = _workload()
-            cfg = ParallelConfig(n_workers=2, force_processes=True)
-            results = map_matrices(mats, method="vectorized", config=cfg)
-
-            mat = g.grid2d(48, 48)
-            from repro.sparse.graph import connected_components
-
-            _, labels = connected_components(mat)
-            starts = np.unique(labels, return_index=True)[1].tolist()
-            sizes = np.bincount(labels).tolist()
-            parts = rcm_components(mat, starts, sizes=sizes, config=cfg)
+            blocks = _dispatch(mat, starts, sizes)
         finally:
             ForkingPickler._extra_reducers.pop(np.ndarray, None)
             reset_pools()
-
-        for m, res in zip(mats, results):
-            ref = _reorder_rcm(m, method="vectorized")
-            assert np.array_equal(res.permutation, ref.permutation)
-        assert sum(p.size for p in parts) == mat.n
+        _assert_blocks(blocks, mat, starts)
 
     def test_guard_reducer_fires_on_ndarray(self):
         """Sanity check of the guard itself: a non-empty ndarray pushed
@@ -230,15 +235,13 @@ class TestNoPickle:
 class TestOptOutAndPool:
     @needs_fork
     def test_no_shm_runs_in_process_identical(self, monkeypatch):
-        mats = _workload()
-        cfg = ParallelConfig(n_workers=2, force_processes=True)
-        fresh = map_matrices(mats, method="vectorized", config=cfg)
+        mat, starts, sizes = _union()
+        fresh = _dispatch(mat, starts, sizes)
         telemetry.enable()
         monkeypatch.setattr(shm, "shm_available", lambda: False)
-        fallback = map_matrices(mats, method="vectorized", config=cfg)
-        for a, b in zip(fallback, fresh):
-            assert a.permutation.tobytes() == b.permutation.tobytes()
-            assert a.reordered_bandwidth == b.reordered_bandwidth
+        fallback = _dispatch(mat, starts, sizes)
+        assert [b.tobytes() for b in fallback] == [b.tobytes() for b in fresh]
+        _assert_blocks(fallback, mat, starts)
         counters = telemetry.get().snapshot()["counters"]
         assert counters["parallel.fallbacks.no-shm"] == 1
 
@@ -247,9 +250,8 @@ class TestOptOutAndPool:
     def test_pool_reused_across_dispatches(self):
         reset_pools()
         telemetry.enable()
-        mats = _workload()
-        cfg = ParallelConfig(n_workers=2, force_processes=True)
-        map_matrices(mats, method="vectorized", config=cfg)
-        map_matrices(mats, method="vectorized", config=cfg)
+        union = _union()
+        _dispatch(*union)
+        _dispatch(*union)
         counters = telemetry.get().snapshot()["counters"]
         assert counters.get("parallel.pool.reused", 0) >= 1
