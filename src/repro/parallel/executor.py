@@ -176,7 +176,7 @@ Trace = Tuple[object, int, Optional[float]]
 
 
 def _in_worker(trace: Optional[Trace], body: Callable, **attrs):
-    """Run ``body()`` in a worker; ``(its result, WorkerReport or None)``.
+    """Run ``body()`` in a worker; the WorkerReport, or ``None`` untraced.
 
     With ``trace`` set, the worker re-bases its (forked) telemetry on the
     parent's epoch, activates the request's trace context and wraps the
@@ -187,7 +187,8 @@ def _in_worker(trace: Optional[Trace], body: Callable, **attrs):
     merged flamegraph no matter how short the task ran.
     """
     if trace is None:
-        return body(), None
+        body()
+        return None
     from repro.telemetry import context as tctx
 
     ctx, epoch_ns, prof_hz = trace
@@ -196,9 +197,9 @@ def _in_worker(trace: Optional[Trace], body: Callable, **attrs):
         with telemetry.get().span(
             "parallel.worker", category="parallel", **attrs
         ):
-            out = body()
+            body()
             _profiler.sample_now()
-    return out, tctx.collect_worker_report()
+    return tctx.collect_worker_report()
 
 
 def _component_task(
@@ -214,7 +215,7 @@ def _component_task(
             shm.attach_csr(csr), start
         )
 
-    return _in_worker(trace, body, start_node=start)[1]
+    return _in_worker(trace, body, start_node=start)
 
 
 # ----------------------------------------------------------------------
@@ -225,17 +226,6 @@ def _trace_for(tel) -> Optional[Trace]:
     if not tel.enabled:
         return None
     return (current_trace(), tel.tracer.epoch_ns, _profiler.active_hz())
-
-
-def _merge_traced(tel, reports, trace: Optional[Trace], span) -> None:
-    """Merge a traced dispatch's worker reports under its span."""
-    if trace is None:
-        return
-    ctx = trace[0]
-    _merge_reports(
-        tel, reports, parent_span_id=span.span_id,
-        trace_id=ctx.trace_id if ctx is not None else None,
-    )
 
 
 def _merge_reports(tel, reports, *, parent_span_id, trace_id) -> None:
@@ -337,7 +327,12 @@ def _components_shm(mat, starts, sizes, workers):
                 for i in order
             }
             reports = [futures[i].result() for i in range(len(starts))]
-            _merge_traced(tel, reports, trace, sp)
+            if trace is not None:
+                ctx = trace[0]
+                _merge_reports(
+                    tel, reports, parent_span_id=sp.span_id,
+                    trace_id=ctx.trace_id if ctx is not None else None,
+                )
         parts = [
             arena.block(int(offsets[i]), int(sizes[i]))
             for i in range(len(starts))

@@ -136,7 +136,8 @@ class ServiceConfig:
             raise ValueError("max_batch must be >= 1")
         for name in ("submit_timeout", "request_timeout"):
             value = getattr(self, name)
-            if value is not None and value < 0:
+            # `not value >= 0` also rejects NaN, which no wait accepts
+            if value is not None and not value >= 0:
                 raise ValueError(f"{name} must be >= 0 or None")
 
 

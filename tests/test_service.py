@@ -400,10 +400,11 @@ class TestTimeouts:
                 svc.reorder(small_grid)
             gated.release()
 
+    @pytest.mark.parametrize("value", [-1.0, float("nan")])
     @pytest.mark.parametrize("field", ["submit_timeout", "request_timeout"])
-    def test_negative_timeout_rejected(self, field):
+    def test_negative_timeout_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be >= 0"):
-            ServiceConfig(**{field: -1.0})
+            ServiceConfig(**{field: value})
         assert getattr(ServiceConfig(**{field: 0.0}), field) == 0.0
 
     def test_none_submit_timeout_waits_for_a_slot(self, gated, small_grid):
