@@ -89,12 +89,13 @@ class TestComponentPool:
 
 
 class TestMapMatrices:
-    def test_deprecated_alias_of_reorder_many(self):
-        """The retired batch path is an alias for one release: it warns,
-        returns what ``reorder_many`` returns, ignores ``config`` and
-        takes an empty batch."""
+    """The retired batch path is an alias of ``reorder_many`` for one
+    release: it warns and ignores ``config``."""
+
+    def test_matches_in_process_loop(self):
         mats = [g.grid2d(6, 6), g.delaunay_mesh(80, seed=1),
                 g.random_geometric(50, k=3, seed=2)]
+        seq = [_reorder_rcm(m, method="vectorized") for m in mats]
         cfg = ParallelConfig(n_workers=2, force_processes=True)
         with pytest.warns(DeprecationWarning, match="reorder_many"):
             got = map_matrices(mats, method="vectorized", config=cfg)
@@ -102,8 +103,10 @@ class TestMapMatrices:
         assert [r.method for r in got] == ["vectorized"] * len(mats)
         assert [r.permutation.tobytes() for r in got] == [
             r.permutation.tobytes() for r in ref
-        ]
-        with pytest.warns(DeprecationWarning):
+        ] == [r.permutation.tobytes() for r in seq]
+
+    def test_empty_batch(self):
+        with pytest.warns(DeprecationWarning, match="reorder_many"):
             assert map_matrices([]) == []
 
 
